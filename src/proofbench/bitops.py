@@ -15,7 +15,3 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()

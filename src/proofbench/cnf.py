@@ -1,5 +1,5 @@
 """CNF formulas, assignments, variable partitions, DIMACS I/O, and a
-deterministic brute-force satisfiability oracle.
+deterministic DPLL solver that can log a resolution refutation.
 """
 
 from __future__ import annotations
@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceededError, DimacsError, NoViolationError, ScopeError
@@ -141,9 +142,6 @@ class Assignment:
     def as_map(self) -> dict[int, int]:
         return dict(self._map)
 
-    def restrict(self, variables: Iterable[int]) -> "Assignment":
-        return Assignment.from_map({v: self.bit(v) for v in variables})
-
     def union(self, other: "Assignment") -> "Assignment":
         overlap = self.scope & other.scope
         for v in overlap:
@@ -218,11 +216,6 @@ class VariablePartition:
     def alternating(cls, n: int) -> "VariablePartition":
         """Odd indices to X, even indices to Y."""
         return cls(tuple(range(1, n + 1, 2)), tuple(range(2, n + 1, 2)))
-
-    @classmethod
-    def split_at(cls, n: int, n1: int) -> "VariablePartition":
-        """First ``n1`` variables to X, the rest to Y."""
-        return cls(tuple(range(1, n1 + 1)), tuple(range(n1 + 1, n + 1)))
 
     def x_assignment(self, index: int) -> Assignment:
         return Assignment.from_index(self.xvars, index)
@@ -351,111 +344,154 @@ def serialize_dimacs(formula: CnfFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- brute-force satisfiability -------------------------------------------
+# --- DPLL ------------------------------------------------------------------
+
+# One line of a resolution log: the clause as signed literals, then the two
+# premise lines and the pivot variable, both None for an axiom.
+LogLine = tuple[frozenset[int], tuple[int, int] | None, int | None]
+
+
+def dpll(
+    formula: CnfFormula,
+    cap: int = DEFAULT_SOLVER_CAP,
+    log: list[LogLine] | None = None,
+) -> Assignment | None:
+    """Deterministic DPLL with unit propagation over clause counters.
+
+    Propagation works in rounds: the lowest-index falsified clause is a
+    conflict, otherwise the lowest-index unit clause is assigned. Branching
+    takes the smallest unassigned variable, value 0 before 1, so a
+    satisfiable formula yields the lexicographically least witness (free
+    variables completed with 0). Returns None when unsatisfiable.
+
+    Given an empty list as ``log``, the search first appends one axiom line
+    per clause, in order, then every resolvent of its conflict analysis,
+    each clause at most once; an unsatisfiable formula's log ends in the
+    empty clause.
+    """
+    if formula.n > cap:
+        raise CapExceededError(f"n={formula.n} exceeds solver cap {cap}")
+    n, m = formula.n, formula.m
+    clause_lits = [c.signed() for c in formula.clauses]
+    occ: dict[int, list[int]] = {}  # literal -> its clauses, in clause order
+    for ci, lits in enumerate(clause_lits):
+        for lit in lits:
+            occ.setdefault(lit, []).append(ci)
+
+    value: list[int | None] = [None] * (n + 1)
+    sat_count = [0] * m
+    free_count = [len(lits) for lits in clause_lits]
+    satisfied_clauses = 0
+    index_of: dict[frozenset[int], int] = {}
+    if log is not None:
+        for ci, lits in enumerate(clause_lits):
+            log.append((frozenset(lits), None, None))
+            index_of.setdefault(log[-1][0], ci)
+
+    def assign(lit: int, units: list[int]) -> int:
+        """Make ``lit`` true and push the clauses it leaves unit onto the heap
+        ``units``. Returns the lowest-index clause it falsifies, or -1.
+        """
+        nonlocal satisfied_clauses
+        value[abs(lit)] = 1 if lit > 0 else 0
+        for ci in occ.get(lit, ()):
+            if sat_count[ci] == 0:
+                satisfied_clauses += 1
+            sat_count[ci] += 1
+            free_count[ci] -= 1
+        conflict = -1
+        for ci in occ.get(-lit, ()):
+            free_count[ci] -= 1
+            if sat_count[ci] == 0:
+                if free_count[ci] == 1:
+                    heappush(units, ci)
+                elif free_count[ci] == 0 and conflict < 0:
+                    conflict = ci
+        return conflict
+
+    def unassign(lit: int) -> None:
+        nonlocal satisfied_clauses
+        value[abs(lit)] = None
+        for ci in occ.get(lit, ()):
+            sat_count[ci] -= 1
+            if sat_count[ci] == 0:
+                satisfied_clauses -= 1
+            free_count[ci] += 1
+        for ci in occ.get(-lit, ()):
+            free_count[ci] += 1
+
+    def emit(lits: frozenset[int], premises: tuple[int, int], pivot: int) -> int:
+        if lits not in index_of:
+            index_of[lits] = len(log)
+            log.append((lits, premises, pivot))
+        return index_of[lits]
+
+    def resolve_away(start: int, trail: list[tuple[int, int]]) -> int:
+        """Resolve a clause falsified under the current state against this
+        call's propagation reasons, newest first, until it is falsified under
+        the state at call entry.
+        """
+        cur_idx, cur = start, log[start][0]
+        for lit, reason in reversed(trail):
+            if -lit in cur:
+                cur = (cur - {-lit}) | (log[reason][0] - {lit})
+                cur_idx = emit(cur, (cur_idx, reason), abs(lit))
+        return cur_idx
+
+    def search(units: list[int]) -> Assignment | int:
+        """Propagate the pending ``units``, then branch. Returns a witness or,
+        with the log, the line of a clause falsified under the state at entry.
+        """
+        trail: list[tuple[int, int]] = []  # (assigned literal, reason clause)
+        outcome: Assignment | int = -1
+        while units:
+            ci = heappop(units)
+            if sat_count[ci] or free_count[ci] != 1:
+                continue  # satisfied since it was pushed
+            lit = next(x for x in clause_lits[ci] if value[abs(x)] is None)
+            trail.append((lit, ci))
+            outcome = assign(lit, units)
+            if outcome >= 0:
+                break
+        if outcome == -1 and satisfied_clauses == m:
+            outcome = Assignment.from_map(
+                {v: value[v] or 0 for v in range(1, n + 1)}
+            )
+        elif outcome == -1:
+            var = value.index(None, 1)
+            refuted = []
+            for lit in (-var, var):
+                branch_units: list[int] = []
+                conflict = assign(lit, branch_units)
+                outcome = search(branch_units) if conflict < 0 else conflict
+                unassign(lit)
+                if isinstance(outcome, Assignment):
+                    break
+                if log is not None and -lit not in log[outcome][0]:
+                    break  # refuted without this decision
+                refuted.append(outcome)
+            else:
+                if log is not None:
+                    low, high = refuted
+                    outcome = emit(
+                        (log[low][0] - {var}) | (log[high][0] - {-var}),
+                        (low, high),
+                        var,
+                    )
+        if log is not None and not isinstance(outcome, Assignment):
+            outcome = resolve_away(outcome, trail)
+        for lit, _ in reversed(trail):
+            unassign(lit)
+        return outcome
+
+    outcome = search([ci for ci in range(m) if free_count[ci] == 1])
+    return outcome if isinstance(outcome, Assignment) else None
 
 
 def brute_force_sat(
     formula: CnfFormula, cap: int = DEFAULT_SOLVER_CAP
 ) -> Assignment | None:
-    """Deterministic DPLL with unit propagation.
-
-    Branches on the smallest unassigned variable, value 0 before 1, so a
-    satisfiable formula yields the lexicographically least witness (free
-    variables completed with 0). Returns None when unsatisfiable.
+    """The lexicographically least satisfying assignment (see ``dpll``), or
+    None when the formula is unsatisfiable.
     """
-    if formula.n > cap:
-        raise CapExceededError(f"n={formula.n} exceeds solver cap {cap}")
-    n, m = formula.n, formula.m
-    if m == 0:
-        return Assignment.from_map({v: 0 for v in range(1, n + 1)})
-
-    clause_lits = [c.signed() for c in formula.clauses]
-    occ: dict[int, list[int]] = {}
-    for ci, lits in enumerate(clause_lits):
-        for lit in lits:
-            occ.setdefault(lit, []).append(ci)
-
-    value: dict[int, int] = {}
-    sat_count = [0] * m
-    free_count = [len(lits) for lits in clause_lits]
-    satisfied_clauses = 0
-
-    def lit_true(lit: int) -> bool:
-        v = value.get(abs(lit))
-        return v is not None and (v == 1) == (lit > 0)
-
-    def do_assign(var: int, bit: int, trail: list[tuple[int, int]]) -> bool:
-        """Apply var=bit and update counters. Returns False on conflict."""
-        nonlocal satisfied_clauses
-        value[var] = bit
-        trail.append((var, bit))
-        ok = True
-        true_lit = var if bit == 1 else -var
-        for ci in occ.get(true_lit, ()):
-            if sat_count[ci] == 0:
-                satisfied_clauses += 1
-            sat_count[ci] += 1
-            free_count[ci] -= 1
-        for ci in occ.get(-true_lit, ()):
-            free_count[ci] -= 1
-            if sat_count[ci] == 0 and free_count[ci] == 0:
-                ok = False
-        return ok
-
-    def undo(trail: list[tuple[int, int]]) -> None:
-        nonlocal satisfied_clauses
-        while trail:
-            var, bit = trail.pop()
-            del value[var]
-            true_lit = var if bit == 1 else -var
-            for ci in occ.get(true_lit, ()):
-                sat_count[ci] -= 1
-                if sat_count[ci] == 0:
-                    satisfied_clauses -= 1
-                free_count[ci] += 1
-            for ci in occ.get(-true_lit, ()):
-                free_count[ci] += 1
-
-    def propagate(trail: list[tuple[int, int]]) -> bool:
-        """Assign forced literals until fixpoint. False on conflict."""
-        changed = True
-        while changed:
-            changed = False
-            for ci in range(m):
-                if sat_count[ci] > 0 or free_count[ci] != 1:
-                    continue
-                unit = next(
-                    lit for lit in clause_lits[ci] if abs(lit) not in value
-                )
-                if not do_assign(abs(unit), 1 if unit > 0 else 0, trail):
-                    return False
-                changed = True
-        return True
-
-    def witness() -> Assignment:
-        full = {v: value.get(v, 0) for v in range(1, n + 1)}
-        return Assignment.from_map(full)
-
-    def search() -> Assignment | None:
-        trail: list[tuple[int, int]] = []
-        if not propagate(trail):
-            undo(trail)
-            return None
-        if satisfied_clauses == m:
-            result = witness()
-            undo(trail)
-            return result
-        var = next(v for v in range(1, n + 1) if v not in value)
-        for bit in (0, 1):
-            branch: list[tuple[int, int]] = []
-            if do_assign(var, bit, branch):
-                result = search()
-                if result is not None:
-                    undo(branch)
-                    undo(trail)
-                    return result
-            undo(branch)
-        undo(trail)
-        return None
-
-    return search()
+    return dpll(formula, cap)

@@ -8,11 +8,12 @@ from dataclasses import dataclass
 from typing import Union
 
 from .cnf import (
-    Assignment,
     CnfFormula,
     DEFAULT_SOLVER_CAP,
     Literal,
+    LogLine,
     VariablePartition,
+    dpll,
 )
 from .errors import CapExceededError, ProofTextError, SatisfiableError
 from .linear import LinearInequality
@@ -304,137 +305,25 @@ def resolution_refutation_from_dpll(
     is the empty clause. Raises SatisfiableError, carrying the witness, when
     the formula is satisfiable.
     """
-    if formula.n > cap:
-        raise CapExceededError(f"n={formula.n} exceeds solver cap {cap}")
-    m = formula.m
-    lines: list[ResolutionLine] = []
-    index_of: dict[frozenset[Literal], int] = {}
-    for i, clause in enumerate(formula.clauses):
-        lits = frozenset(clause.literals)
-        lines.append(ResolutionLine(lits, axiom=i + 1))
-        index_of.setdefault(lits, i)
-    if m == 0:
-        raise SatisfiableError(
-            "empty formula is satisfiable",
-            Assignment.from_map({v: 0 for v in range(1, formula.n + 1)}),
-        )
-
-    value: dict[int, int] = {}
-
-    def emit(lits: frozenset[Literal], premises: tuple[int, int], pivot: int) -> int:
-        existing = index_of.get(lits)
-        if existing is not None:
-            return existing
-        lines.append(ResolutionLine(lits, premises=premises, pivot=pivot))
-        index_of[lits] = len(lines) - 1
-        return len(lines) - 1
-
-    def clause_state(ci: int) -> tuple[bool, Literal | None, int]:
-        """(satisfied, sole unassigned literal if exactly one, #unassigned)."""
-        unassigned = None
-        count = 0
-        for lit in formula.clauses[ci].literals:
-            bit = value.get(lit.var)
-            if bit is None:
-                count += 1
-                unassigned = lit
-            elif lit.satisfied_by(bit):
-                return True, None, count
-        return False, (unassigned if count == 1 else None), count
-
-    def propagate(local: list[tuple[Literal, int]]) -> int | None:
-        """Assign forced literals; returns a falsified axiom's line index."""
-        while True:
-            unit: tuple[Literal, int] | None = None
-            for ci in range(m):
-                sat, sole, count = clause_state(ci)
-                if sat:
-                    continue
-                if count == 0:
-                    return ci
-                if count == 1 and unit is None:
-                    unit = (sole, ci)
-            if unit is None:
-                return None
-            lit, reason = unit
-            value[lit.var] = 0 if lit.negated else 1
-            local.append((lit, reason))
-
-    def resolve_away(start: int, local: list[tuple[Literal, int]]) -> int:
-        """Resolve a clause falsified under the current state against this
-        call's propagation reasons, newest first, until it is falsified under
-        the state at call entry.
-        """
-        cur_idx = start
-        cur = lines[start].literals
-        for lit, reason in reversed(local):
-            opposite = lit.negation()
-            if opposite in cur:
-                resolvent = (cur - {opposite}) | (lines[reason].literals - {lit})
-                cur_idx = emit(resolvent, (cur_idx, reason), lit.var)
-                cur = resolvent
-        return cur_idx
-
-    def undo(local: list[tuple[Literal, int]]) -> None:
-        for lit, _ in local:
-            del value[lit.var]
-
-    def all_satisfied() -> bool:
-        return all(clause_state(ci)[0] for ci in range(m))
-
-    def witness() -> Assignment:
-        return Assignment.from_map(
-            {v: value.get(v, 0) for v in range(1, formula.n + 1)}
-        )
-
-    def search() -> int | Assignment:
-        local: list[tuple[Literal, int]] = []
-        conflict = propagate(local)
-        if conflict is not None:
-            result = resolve_away(conflict, local)
-            undo(local)
-            return result
-        if all_satisfied():
-            result = witness()
-            undo(local)
-            return result
-        var = next(v for v in range(1, formula.n + 1) if v not in value)
-        value[var] = 0
-        low = search()
-        del value[var]
-        if isinstance(low, Assignment):
-            undo(local)
-            return low
-        if Literal(var, False) not in lines[low].literals:
-            result = resolve_away(low, local)
-            undo(local)
-            return result
-        value[var] = 1
-        high = search()
-        del value[var]
-        if isinstance(high, Assignment):
-            undo(local)
-            return high
-        if Literal(var, True) not in lines[high].literals:
-            result = resolve_away(high, local)
-            undo(local)
-            return result
-        merged = emit(
-            (lines[low].literals - {Literal(var, False)})
-            | (lines[high].literals - {Literal(var, True)}),
-            (low, high),
-            var,
-        )
-        result = resolve_away(merged, local)
-        undo(local)
-        return result
-
-    outcome = search()
-    if isinstance(outcome, Assignment):
-        raise SatisfiableError("formula is satisfiable", outcome)
-    if lines[outcome].literals:
+    log: list[LogLine] = []
+    witness = dpll(formula, cap, log)
+    if witness is not None:
+        raise SatisfiableError("formula is satisfiable", witness)
+    if log[-1][0]:
         raise AssertionError("DPLL refutation did not end in the empty clause")
-    return ResolutionRefutation(formula, tuple(lines[: outcome + 1]))
+    literal = {s: Literal.from_signed(s) for s in range(-formula.n, formula.n + 1) if s}
+    return ResolutionRefutation(
+        formula,
+        tuple(
+            ResolutionLine(
+                frozenset(literal[s] for s in lits),
+                i + 1 if premises is None else None,
+                premises,
+                pivot,
+            )
+            for i, (lits, premises, pivot) in enumerate(log)
+        ),
+    )
 
 
 def resolution_problems(refutation: ResolutionRefutation) -> list[str]:

@@ -125,6 +125,8 @@ def unsat_rate(
     cap: int = DEFAULT_SOLVER_CAP,
 ) -> UnsatRateReport:
     """Fraction of sampled formulas the brute-force oracle refutes."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     total_vars = 2 * params.n if tensor else params.n
     if total_vars > cap:
         raise CapExceededError(f"{total_vars} variables exceed solver cap {cap}")
@@ -135,7 +137,7 @@ def unsat_rate(
         )
         formula = sample_tensor(sub)[0] if tensor else sample_f(sub)
         rows.append(UnsatSample(i, sub.seed, brute_force_sat(formula, cap) is None))
-    rate = Fraction(sum(r.unsat for r in rows), samples) if samples else Fraction(0)
+    rate = Fraction(sum(r.unsat for r in rows), samples)
     return UnsatRateReport(params, tensor, tuple(rows), rate)
 
 
@@ -183,7 +185,7 @@ class ExpansionReport:
 def expansion_regime_max_size(n: int, d: int) -> int:
     return int(n / (math.e * d * d))
 
-def _min_union_exact(var_sets: list[frozenset[int]], size: int, budget: int) -> int:
+def _min_union_exact(var_sets: list[frozenset[int]], size: int) -> int:
     m = len(var_sets)
     best = None
     # Depth-first over index combinations, keeping the running union.
@@ -243,7 +245,7 @@ def expansion_report(
                     for j in range(i + 1, m)
                 )
             else:
-                min_vars = _min_union_exact(var_sets, s, exact_budget)
+                min_vars = _min_union_exact(var_sets, s)
             mode, used = "exact", None
         else:
             rng = random.Random(derive_seed(seed, "expansion", s))

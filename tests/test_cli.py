@@ -222,6 +222,17 @@ class TestStats:
         assert data["results"]["rate_float"] >= 0.9
         assert data["config"]["samples"] == 10
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_unsat_rate_without_samples_exits_2(self, tmp_path, capsys, samples):
+        report = tmp_path / "stats.json"
+        code = main(
+            ["stats", "--stat", "unsat-rate", "--n", "4", "--d", "2", "--m", "3",
+             "--samples", samples, "--seed", "1", "--report", str(report)]
+        )
+        assert code == 2
+        assert not report.exists()
+        assert "samples must be at least 1" in capsys.readouterr().err
+
     def test_heavy_partition(self, tmp_path):
         report = tmp_path / "hp.json"
         code = main(

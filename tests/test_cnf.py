@@ -18,6 +18,7 @@ from proofbench.cnf import (
     search_violation,
     serialize_dimacs,
 )
+from proofbench.cpproof import resolution_problems, resolution_refutation_from_dpll
 from proofbench.errors import (
     CapExceededError,
     DimacsError,
@@ -160,6 +161,16 @@ class TestBruteForce:
                 assert (got is None) == (expected is None)
                 if expected is not None:
                     assert got == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(formulas(max_n=8, max_m=24, max_width=3))
+    def test_dpll_matches_enumeration(self, f):
+        # one search serves both entry points: the least witness, or else a
+        # valid resolution refutation
+        expected = exhaustive_sat(f)
+        assert brute_force_sat(f) == expected
+        if expected is None:
+            assert resolution_problems(resolution_refutation_from_dpll(f)) == []
 
     def test_witness_satisfies(self):
         rng = random.Random(99)

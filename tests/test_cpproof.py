@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 
@@ -6,6 +8,7 @@ import pytest
 from helpers import count_satisfying, random_formula
 from proofbench.cnf import (
     VariablePartition,
+    brute_force_sat,
     eval_clause,
     formula_to_system,
     parse_dimacs,
@@ -28,6 +31,7 @@ from proofbench.cpproof import (
 from proofbench.errors import ProofTextError, SatisfiableError
 from proofbench.linear import LinearInequality
 from proofbench.protocol import run_protocol
+from proofbench.randomcnf import DistributionParams, derive_seed, sample_f, sample_tensor
 from proofbench.semantics import (
     SemanticLine,
     check_semantic_step,
@@ -35,6 +39,11 @@ from proofbench.semantics import (
 )
 
 CONTRADICTION = "p cnf 1 2\n1 0\n-1 0\n"
+MASTER_SEED = 20250809  # the acceptance suite's master seed
+# Refutation digests recorded before the two DPLL searches were merged: the
+# merged search must reproduce the old refutations line for line.
+CRITERION_2_DIGEST = "288606cf7b0bf6783376d9c2ee1e1eff8eb885075adff49d24c178dd8ffc9661"
+TENSOR_DIGEST = "70c81605c18ddd65375402513e406d11f26a5da602365789ccea302a21490ab6"
 
 
 def contradiction_proof() -> CpProof:
@@ -295,7 +304,57 @@ class TestSemanticStep:
             check_semantic_step(a, a, b)
 
 
+def refutation_digest(formulas) -> str:
+    """sha256 over every refutation line: literals, axiom, premises, pivot."""
+    rows = [
+        [
+            [sorted(lit.signed for lit in ln.literals), ln.axiom, ln.premises, ln.pivot]
+            for ln in resolution_refutation_from_dpll(f).lines
+        ]
+        for f in formulas
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def first_unsat(count: int, sample, tag: str) -> list:
+    formulas, index = [], 0
+    while len(formulas) < count:
+        formula = sample(derive_seed(MASTER_SEED, tag, index))
+        index += 1
+        if brute_force_sat(formula) is None:
+            formulas.append(formula)
+    return formulas
+
+
 class TestResolutionFromDpll:
+    def test_criterion_2_refutations_pinned(self):
+        # the first 20 formulas of the acceptance suite's criterion-2 batch
+        formulas = first_unsat(
+            20, lambda seed: sample_f(DistributionParams(60, 8, 3, seed)), "criterion-2"
+        )
+        assert refutation_digest(formulas) == CRITERION_2_DIGEST
+
+    def test_tensor_refutations_pinned(self):
+        formulas = first_unsat(
+            6,
+            lambda seed: sample_tensor(DistributionParams(384, 8, 2, seed))[0],
+            "tensor-digest",
+        )
+        assert refutation_digest(formulas) == TENSOR_DIGEST
+
+    def test_satisfiable_witness_is_brute_force_witness(self):
+        rng = random.Random(77)
+        done = 0
+        while done < 40:
+            f = random_formula(rng, rng.randint(2, 10), rng.randint(2, 30))
+            expected = brute_force_sat(f)
+            if expected is None:
+                continue
+            done += 1
+            with pytest.raises(SatisfiableError) as exc:
+                resolution_refutation_from_dpll(f)
+            assert exc.value.witness == expected
+
     def test_contradiction(self):
         r = resolution_refutation_from_dpll(parse_dimacs(CONTRADICTION))
         assert r.length == 3

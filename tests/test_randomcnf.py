@@ -90,6 +90,12 @@ class TestUnsatRate:
         with pytest.raises(CapExceededError):
             unsat_rate(DistributionParams(4, 30, 2, 0), tensor=False, samples=1)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_is_an_error(self, samples):
+        # zero samples must not report a rate of 0 as if it were measured
+        with pytest.raises(ValueError, match="samples"):
+            unsat_rate(DistributionParams(4, 3, 2, 0), tensor=False, samples=samples)
+
 
 class TestExpansion:
     def test_single_clause_always_passes(self):
