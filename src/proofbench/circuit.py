@@ -36,13 +36,8 @@ from .cpproof import (
     Hypothesis,
     ResolutionRefutation,
 )
-from .cspsat import (
-    CspSatInstance,
-    accepting_instance,
-    build_constraint_graph,
-    rejecting_instance,
-)
-from .errors import CapExceededError, SoundnessError
+from .cspsat import CspSatInstance
+from .errors import CapExceededError, ScopeError, SoundnessError
 from .gates import AndGate, ConstGate, Gate, InputGate, MonotoneCircuit, OrGate
 from .protocol import (
     ALICE,
@@ -76,6 +71,7 @@ __all__ = [
     "extract_cc2_refutation",
     "parse_circuit",
     "serialize_circuit",
+    "side_values",
     "verify_separation",
 ]
 
@@ -135,6 +131,111 @@ def eval_gates(circuit: MonotoneCircuit, inst: CspSatInstance) -> list[int]:
 
 def eval_circuit(circuit: MonotoneCircuit, inst: CspSatInstance) -> int:
     return eval_gates(circuit, inst)[circuit.output]
+
+
+# --- bit-parallel evaluation on every U(x) and V(y) ---------------------------
+
+
+def _check_side_cap(part: VariablePartition, side_cap: int) -> None:
+    if part.n1 > side_cap or part.n2 > side_cap:
+        raise CapExceededError(
+            f"partition sides ({part.n1}, {part.n2}) exceed cap {side_cap}"
+        )
+
+
+def _variable_masks(side_vars: tuple[int, ...]) -> dict[int, int]:
+    """Per side variable, the mask of side indices where it is 1, in
+    ``Assignment.from_index`` order (first variable most significant).
+    """
+    k = len(side_vars)
+    size = 1 << k
+    masks = {}
+    for p, v in enumerate(side_vars):
+        w = 1 << (k - 1 - p)
+        mask = full_mask(w) << w  # one period: w indices at 0, then w at 1
+        period = 2 * w
+        while period < size:
+            mask |= mask << period
+            period *= 2
+        masks[v] = mask
+    return masks
+
+
+def _check_inputs(
+    circuit: MonotoneCircuit, formula: CnfFormula, part: VariablePartition
+) -> None:
+    """Every input gate must name an entry of the truth-table layout."""
+    used = max((v for c in formula.clauses for v in c.vars), default=0)
+    if used > part.n:
+        raise ScopeError(f"clause variable {used} is outside the partition")
+    m = formula.m
+    for g, gate in enumerate(circuit.gates):
+        if not isinstance(gate, InputGate):
+            continue
+        if not 1 <= gate.constraint <= m:
+            raise ValueError(
+                f"gate {g}: input gate constraint {gate.constraint} outside "
+                f"the layout (1..{m})"
+            )
+        width = len(formula.clauses[gate.constraint - 1].vars & part.xset)
+        if len(gate.alpha) != width:
+            raise ValueError(
+                f"gate {g}: alpha has {len(gate.alpha)} bits, constraint "
+                f"{gate.constraint} reads {width} variables"
+            )
+        if any(b not in (0, 1) for b in gate.alpha):
+            raise ValueError(f"gate {g}: alpha bits must be 0 or 1")
+
+
+def side_values(
+    circuit: MonotoneCircuit,
+    formula: CnfFormula,
+    part: VariablePartition,
+    side_cap: int = DEFAULT_SIDE_CAP,
+) -> tuple[list[int], list[int]]:
+    """Per gate, the mask of x indices where it accepts U(x) and the mask of
+    y indices where it accepts V(y).
+
+    Bit x of ``val_u[g]`` is ``eval_gates(circuit, U(x))[g]`` and bit y of
+    ``val_v[g]`` is ``eval_gates(circuit, V(y))[g]``, without building any
+    instance. Input gate (i, alpha) accepts U(x) iff x restricted to clause
+    i's X-variables is alpha, and accepts V(y) iff alpha satisfies one of
+    clause i's X-literals or y one of its Y-literals. Raises ``ValueError``
+    for an input gate outside the layout before evaluating anything.
+    """
+    _check_side_cap(part, side_cap)
+    _check_inputs(circuit, formula, part)
+    xfull = full_mask(1 << part.n1)
+    yfull = full_mask(1 << part.n2)
+    xbit = _variable_masks(part.xvars)
+    ybit = _variable_masks(part.yvars)
+    val_u: list[int] = []
+    val_v: list[int] = []
+    for gate in circuit.gates:
+        if isinstance(gate, InputGate):
+            clause = formula.clauses[gate.constraint - 1]
+            xlits = sorted(clause.side_literals(part.xset), key=lambda l: l.var)
+            vu = xfull
+            for lit, a in zip(xlits, gate.alpha):
+                vu &= xbit[lit.var] if a else xfull ^ xbit[lit.var]
+            if any(lit.satisfied_by(a) for lit, a in zip(xlits, gate.alpha)):
+                vv = yfull
+            else:
+                vv = 0
+                for lit in clause.side_literals(part.yset):
+                    vv |= (yfull ^ ybit[lit.var]) if lit.negated else ybit[lit.var]
+        elif isinstance(gate, ConstGate):
+            vu = xfull if gate.bit else 0
+            vv = yfull if gate.bit else 0
+        elif isinstance(gate, AndGate):
+            vu = val_u[gate.left] & val_u[gate.right]
+            vv = val_v[gate.left] & val_v[gate.right]
+        else:
+            vu = val_u[gate.left] | val_u[gate.right]
+            vv = val_v[gate.left] | val_v[gate.right]
+        val_u.append(vu)
+        val_v.append(vv)
+    return val_u, val_v
 
 
 # --- compiler inputs ---------------------------------------------------------
@@ -319,10 +420,7 @@ def compile_cc_refutation(
     derived line is entailed by its two premises, every tree computes its
     line, and the final line is constant 0 with a depth-0 protocol.
     """
-    if part.n1 > side_cap or part.n2 > side_cap:
-        raise CapExceededError(
-            f"partition sides ({part.n1}, {part.n2}) exceed cap {side_cap}"
-        )
+    _check_side_cap(part, side_cap)
     _validate_refutation(lines, formula, part)
 
     masks_per_line: list[dict[str, tuple[int, int]]] = []
@@ -469,22 +567,22 @@ def verify_separation(
     """Check output 1 on every U(x) and 0 on every V(y); report a witness
     index for the first failure of each kind.
     """
-    if part.n1 > side_cap or part.n2 > side_cap:
-        raise CapExceededError(
-            f"partition sides ({part.n1}, {part.n2}) exceed cap {side_cap}"
-        )
-    graph = build_constraint_graph(formula, part)
-    failing_x = failing_y = None
-    for x_idx in range(1 << part.n1):
-        inst = accepting_instance(graph, part.x_assignment(x_idx))
-        if eval_circuit(circuit, inst) != 1:
-            failing_x = x_idx
-            break
-    for y_idx in range(1 << part.n2):
-        inst = rejecting_instance(graph, formula, part, part.y_assignment(y_idx))
-        if eval_circuit(circuit, inst) != 0:
-            failing_y = y_idx
-            break
+    val_u, val_v = side_values(circuit, formula, part, side_cap)
+    return _separation_report(val_u, val_v, circuit.output, part)
+
+
+def _lowest_bit(mask: int) -> int | None:
+    return (mask & -mask).bit_length() - 1 if mask else None
+
+
+def _separation_report(
+    val_u: list[int], val_v: list[int], output: int, part: VariablePartition
+) -> SeparationReport:
+    """The lowest x whose U(x) the output rejects and the lowest y whose V(y)
+    it accepts, from the side masks.
+    """
+    failing_x = _lowest_bit(~val_u[output] & full_mask(1 << part.n1))
+    failing_y = _lowest_bit(val_v[output])
     return SeparationReport(
         failing_x is None and failing_y is None,
         1 << part.n1,
@@ -547,59 +645,33 @@ def extract_cc2_refutation(
     With ``require_separation=False`` a non-separating circuit is processed
     anyway and the report flags the non-constant root line.
     """
+    val_u, val_v = side_values(circuit, formula, part, side_cap)
     if require_separation:
-        sep = verify_separation(circuit, formula, part, side_cap)
+        sep = _separation_report(val_u, val_v, circuit.output, part)
         if not sep.passed:
             raise SoundnessError(
                 f"circuit does not separate the instances "
                 f"(failing x={sep.failing_x}, y={sep.failing_y})"
             )
-    graph = build_constraint_graph(formula, part)
-    u_bits = [
-        accepting_instance(graph, part.x_assignment(x)).bits
-        for x in range(1 << part.n1)
-    ]
-    v_bits = [
-        rejecting_instance(graph, formula, part, part.y_assignment(y)).bits
-        for y in range(1 << part.n2)
-    ]
-    xfull = full_mask(1 << part.n1)
-    yfull = full_mask(1 << part.n2)
-
-    val_u: list[int] = []  # per gate, x indices on which it accepts U(x)
-    val_v: list[int] = []  # per gate, y indices on which it accepts V(y)
-    for gate in circuit.gates:
-        if isinstance(gate, InputGate):
-            pos = graph.position(gate.constraint - 1, gate.alpha)
-            vu = 0
-            for x, bits in enumerate(u_bits):
-                vu |= ((bits >> pos) & 1) << x
-            vv = 0
-            for y, bits in enumerate(v_bits):
-                vv |= ((bits >> pos) & 1) << y
-        elif isinstance(gate, ConstGate):
-            vu = xfull if gate.bit else 0
-            vv = yfull if gate.bit else 0
-        elif isinstance(gate, AndGate):
-            vu = val_u[gate.left] & val_u[gate.right]
-            vv = val_v[gate.left] & val_v[gate.right]
-        else:
-            vu = val_u[gate.left] | val_u[gate.right]
-            vv = val_v[gate.left] | val_v[gate.right]
-        val_u.append(vu)
-        val_v.append(vv)
 
     n2 = part.n2
+    yfull = full_mask(1 << n2)
+    full = full_mask(1 << part.n)
+    # spread(v) moves bit x of v to bit x << n2; it is built a byte of v at
+    # a time from the spreads of all 256 byte values.
+    byte_spread = [sum(1 << (j << n2) for j in iter_bits(b)) for b in range(256)]
     lines: list[SemanticLine] = []
     trees: list[ProtocolTree] = []
     provenance: dict[int, tuple[int, tuple[int, ...]]] = {}
     for g, gate in enumerate(circuit.gates):
-        zero_row = ~val_v[g] & yfull  # the line is 0 where the gate rejects V(y)
-        bits = 0
-        for x in range(1 << part.n1):
-            row = zero_row if (val_u[g] >> x) & 1 else 0
-            bits |= (yfull ^ row) << (x << n2)
-        lines.append(SemanticLine(part.n1, part.n2, bits))
+        # The line is 0 where the gate accepts U(x) and rejects V(y). Row x
+        # sits at bit x << n2 and every row is narrower than that stride, so
+        # the product places zero_row at each accepted x without carries.
+        zero_row = ~val_v[g] & yfull
+        spread = 0
+        for c in range(0, 1 << part.n1, 8):
+            spread |= byte_spread[(val_u[g] >> c) & 255] << (c << n2)
+        lines.append(SemanticLine(part.n1, part.n2, full ^ (zero_row * spread)))
         owners = {"": ALICE, "0": BOB, "1": BOB}
         preds = {"": val_u[g], "0": val_v[g], "1": val_v[g]}
         outputs = {h: (0 if h == "10" else 1) for h in ("00", "01", "10", "11")}

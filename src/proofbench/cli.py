@@ -333,32 +333,14 @@ def _claim_violations(result, cc, formula, part) -> int:
     """Count (line, good history, input) triples where a stored subcircuit
     misclassifies an instance from its own rectangle.
     """
-    from .cspsat import accepting_instance, build_constraint_graph, rejecting_instance
-    from .protocol import materialize_rectangle
+    from .protocol import history_masks
 
-    graph = build_constraint_graph(formula, part)
-    u_vals = [
-        circuit_mod.eval_gates(
-            result.circuit, accepting_instance(graph, part.x_assignment(x))
-        )
-        for x in range(1 << part.n1)
-    ]
-    v_vals = [
-        circuit_mod.eval_gates(
-            result.circuit,
-            rejecting_instance(graph, formula, part, part.y_assignment(y)),
-        )
-        for y in range(1 << part.n2)
-    ]
+    val_u, val_v = circuit_mod.side_values(result.circuit, formula, part)
     violations = 0
     for entry in result.entries:
-        rect = materialize_rectangle(cc[entry.line_index].tree, entry.history)
-        for x in rect.xset:
-            if u_vals[x][entry.gate] != 1:
-                violations += 1
-        for y in rect.yset:
-            if v_vals[y][entry.gate] != 0:
-                violations += 1
+        xm, ym = history_masks(cc[entry.line_index].tree, entry.history)
+        violations += (xm & ~val_u[entry.gate]).bit_count()
+        violations += (ym & val_v[entry.gate]).bit_count()
     return violations
 
 

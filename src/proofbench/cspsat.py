@@ -356,12 +356,18 @@ def parse_instance(text: str, graph: ConstraintGraph) -> CspSatInstance:
     head = rows[0].split()
     if len(head) != 4:
         raise InstanceTextError(1, "header needs m, x-side size, alphabet size")
-    m, nx, a = (int(t) for t in head[1:])
+    try:
+        m, nx, a = (int(t) for t in head[1:])
+    except ValueError:
+        raise InstanceTextError(1, "header counts must be integers")
     if (m, nx, a) != (graph.m, len(graph.xvars), len(graph.alphabet)):
         raise InstanceTextError(1, "header does not match the topology")
     if len(rows) < 2 or not rows[1].startswith("blocks"):
         raise InstanceTextError(2, "missing 'blocks' line")
-    sizes = tuple(int(t) for t in rows[1].split()[1:])
+    try:
+        sizes = tuple(int(t) for t in rows[1].split()[1:])
+    except ValueError:
+        raise InstanceTextError(2, "block sizes must be integers")
     if sizes != graph.block_sizes:
         raise InstanceTextError(2, "block sizes do not match the topology")
     if len(rows) != 2 + m:

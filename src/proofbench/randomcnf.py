@@ -228,6 +228,8 @@ def expansion_report(
         )
     var_sets = [c.vars for c in formula.clauses]
     m = len(var_sets)
+    if trials < 1 and min(s_max, m) > exact_up_to:
+        raise ValueError("sampled sizes need trials to be at least 1")
     rows = []
     for s in range(1, min(s_max, m) + 1):
         threshold = (1 - epsilon) * d * s
@@ -357,6 +359,8 @@ def profile_distinctness(
             "exact", collisions == 0, 1 << n, collisions, witness, seed
         )
     if mode == "sampled":
+        if trials < 1:
+            raise ValueError("sampled mode needs trials to be at least 1")
         rng = random.Random(derive_seed(seed, "profiles"))
         collisions = 0
         witness = None
@@ -461,7 +465,11 @@ def heavy_partition_search(
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
+    if max_trials < 1:
+        raise ValueError("the search needs trials to be at least 1")
     n, d = formula.n, formula.width
+    if n < 2:
+        raise ValueError(f"a partition with two nonempty sides needs n >= 2, got {n}")
     m_prime = heavy_clause_bound(formula.m, d, epsilon)
     w_bound = m_prime * d / n
     if balance_slack is None:
@@ -484,7 +492,8 @@ def heavy_partition_search(
         score = (max(z_x, z_y), w_max, abs(len(xvars) * 2 - n))
         if best is None or score < best[0]:
             best = (score, part, trial)
-    assert best is not None, "every trial produced an empty side"
+    if best is None:
+        raise ValueError(f"all {max_trials} trials left a side empty")
     _, part, _ = best
     z_x, z_y, w_max = heavy_side_counts(formula, part, epsilon)
     return PartitionReport(
@@ -564,6 +573,8 @@ def heavy_sat_fraction(
         fraction: Fraction | float = Fraction(good, 1 << k)
         used = None
     elif mode == "sampled":
+        if trials < 1:
+            raise ValueError("sampled mode needs trials to be at least 1")
         rng = random.Random(derive_seed(seed, "heavy-sat"))
         good = 0
         for _ in range(trials):

@@ -280,6 +280,33 @@ def test_criterion_04_converse_extraction(compiled_batch):
     _report(4, f"{passed}/100 extractions validate in {elapsed:.1f}s")
 
 
+def test_separation_and_extraction_wall_time():
+    # At n=16 every side has 2^8 instances; checking separation and
+    # extracting by building each U(x) and V(y) took about 4.7 s here, the
+    # bit-parallel side masks about 0.3 s.
+    index = 0
+    while True:
+        formula = sample_f(
+            DistributionParams(200, 16, 3, derive_seed(MASTER_SEED, "n16", index))
+        )
+        index += 1
+        if brute_force_sat(formula) is None:
+            break
+    part = VariablePartition.alternating(16)
+    refutation = resolution_refutation_from_dpll(formula)
+    result = compile_cc_refutation(cc_lines_from_resolution(refutation, part), formula, part)
+    t0 = time.perf_counter()
+    assert verify_separation(result.circuit, formula, part).passed
+    extraction = extract_cc2_refutation(result.circuit, formula, part)
+    elapsed = time.perf_counter() - t0
+    assert extraction.report.all_ok
+    assert elapsed < 2.0
+    _report(
+        "n16",
+        f"{result.circuit.gate_count} gates separate and extract in {elapsed:.2f}s",
+    )
+
+
 # --- criterion 5: CSP-SAT structural properties -------------------------------
 
 

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import count_satisfying, random_formula
 from proofbench.circuit import (
     CcLine,
     CircuitBuilder,
+    SeparationReport,
     cc_lines_from_cp_proof,
     cc_lines_from_resolution,
     compile_cc_refutation,
@@ -14,10 +17,14 @@ from proofbench.circuit import (
     extract_cc2_refutation,
     parse_circuit,
     serialize_circuit,
+    side_values,
     verify_separation,
 )
 from proofbench.cnf import (
     Assignment,
+    Clause,
+    CnfFormula,
+    Literal,
     VariablePartition,
     formula_to_system,
     parse_dimacs,
@@ -34,8 +41,8 @@ from proofbench.cspsat import (
     build_constraint_graph,
     rejecting_instance,
 )
-from proofbench.errors import CircuitTextError, SoundnessError
-from proofbench.gates import AndGate, ConstGate, InputGate, MonotoneCircuit
+from proofbench.errors import CapExceededError, CircuitTextError, SoundnessError
+from proofbench.gates import AndGate, ConstGate, InputGate, MonotoneCircuit, OrGate
 from proofbench.linear import LinearInequality
 from proofbench.protocol import materialize_rectangle
 from proofbench.semantics import SemanticLine
@@ -53,16 +60,15 @@ def compile_complete(record_nodes=False):
     return f, part, cc, result
 
 
-def instance_gate_values(result, f, part):
+def instance_gate_values(circuit, f, part):
+    """Every gate's value on every U(x) and V(y), from the built instances."""
     graph = build_constraint_graph(f, part)
     u_vals = [
-        eval_gates(result.circuit, accepting_instance(graph, part.x_assignment(x)))
+        eval_gates(circuit, accepting_instance(graph, part.x_assignment(x)))
         for x in range(1 << part.n1)
     ]
     v_vals = [
-        eval_gates(
-            result.circuit, rejecting_instance(graph, f, part, part.y_assignment(y))
-        )
+        eval_gates(circuit, rejecting_instance(graph, f, part, part.y_assignment(y)))
         for y in range(1 << part.n2)
     ]
     return u_vals, v_vals
@@ -119,7 +125,7 @@ class TestCompileComplete2Cnf:
 
     def test_claim_invariant(self):
         f, part, cc, result = compile_complete()
-        u_vals, v_vals = instance_gate_values(result, f, part)
+        u_vals, v_vals = instance_gate_values(result.circuit, f, part)
         for entry in result.entries:
             rect = materialize_rectangle(cc[entry.line_index].tree, entry.history)
             for x in rect.xset:
@@ -131,7 +137,7 @@ class TestCompileComplete2Cnf:
         # every stacked-tree node is correct on its triple intersection
         f, part, cc, result = compile_complete(record_nodes=True)
         assert result.node_records
-        u_vals, v_vals = instance_gate_values(result, f, part)
+        u_vals, v_vals = instance_gate_values(result.circuit, f, part)
         for node in result.node_records:
             for x in range(1 << part.n1):
                 if (node.xmask >> x) & 1:
@@ -338,6 +344,133 @@ class TestVerifySeparation:
         one = MonotoneCircuit((ConstGate(1),), 0)
         report = verify_separation(one, f, part)
         assert not report.passed and report.failing_y == 0 and report.failing_x is None
+
+    def test_const_witnesses_on_uneven_sides(self):
+        f = parse_dimacs("p cnf 5 2\n1 -3 4 0\n-2 5 0\n")
+        part = VariablePartition((1, 2), (3, 4, 5))
+        one = verify_separation(MonotoneCircuit((ConstGate(1),), 0), f, part)
+        assert one == SeparationReport(False, 4, 8, None, 0)
+        zero = verify_separation(MonotoneCircuit((ConstGate(0),), 0), f, part)
+        assert zero == SeparationReport(False, 4, 8, 0, None)
+
+    def test_lowest_failing_indices(self):
+        # in 1 0 accepts U(x) only at x=0 and V(y) only where y satisfies
+        # clause 1's Y-literal, so both witnesses are index 1
+        f = parse_dimacs(COMPLETE_2CNF)
+        part = VariablePartition((1,), (2,))
+        report = verify_separation(MonotoneCircuit((InputGate(1, (0,)),), 0), f, part)
+        assert report == SeparationReport(False, 2, 2, 1, 1)
+
+
+@st.composite
+def layout_circuits(draw, max_n=8, max_m=6, max_gates=16):
+    """A formula, a partition (either side may be empty), and a circuit of
+    input gates (empty alpha for constraints with no X-side variable),
+    constants, AND and OR gates.
+    """
+    n = draw(st.integers(1, max_n))
+    on_x = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    part = VariablePartition(
+        tuple(v for v in range(1, n + 1) if on_x[v - 1]),
+        tuple(v for v in range(1, n + 1) if not on_x[v - 1]),
+    )
+    clauses = []
+    for _ in range(draw(st.integers(1, max_m))):
+        vs = draw(
+            st.lists(st.integers(1, n), min_size=1, max_size=min(n, 4), unique=True)
+        )
+        signs = draw(st.lists(st.booleans(), min_size=len(vs), max_size=len(vs)))
+        clauses.append(Clause(tuple(Literal(v, s) for v, s in zip(sorted(vs), signs))))
+    gates = []
+    for g in range(draw(st.integers(1, max_gates))):
+        kind = draw(st.sampled_from(("in", "const", "and", "or") if g else ("in", "const")))
+        if kind == "in":
+            c = draw(st.integers(1, len(clauses)))
+            width = len(clauses[c - 1].vars & part.xset)
+            bits = draw(st.lists(st.integers(0, 1), min_size=width, max_size=width))
+            gates.append(InputGate(c, tuple(bits)))
+        elif kind == "const":
+            gates.append(ConstGate(draw(st.integers(0, 1))))
+        else:
+            left, right = draw(st.integers(0, g - 1)), draw(st.integers(0, g - 1))
+            gates.append((AndGate if kind == "and" else OrGate)(left, right))
+    circuit = MonotoneCircuit(tuple(gates), draw(st.integers(0, len(gates) - 1)))
+    return CnfFormula(n, tuple(clauses)), part, circuit
+
+
+class TestSideValues:
+    """The side masks against the instance-level oracle: building every
+    U(x) and V(y) and evaluating the circuit on each.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(layout_circuits())
+    def test_masks_match_instance_evaluation(self, case):
+        f, part, circuit = case
+        val_u, val_v = side_values(circuit, f, part)
+        u_vals, v_vals = instance_gate_values(circuit, f, part)
+        for x, vals in enumerate(u_vals):
+            assert [(vu >> x) & 1 for vu in val_u] == vals
+        for y, vals in enumerate(v_vals):
+            assert [(vv >> y) & 1 for vv in val_v] == vals
+
+        out = circuit.output
+        failing_x = next((x for x, vals in enumerate(u_vals) if vals[out] != 1), None)
+        failing_y = next((y for y, vals in enumerate(v_vals) if vals[out] != 0), None)
+        expected = SeparationReport(
+            failing_x is None and failing_y is None,
+            1 << part.n1,
+            1 << part.n2,
+            failing_x,
+            failing_y,
+        )
+        assert verify_separation(circuit, f, part) == expected
+
+        # extraction's line of gate g is 0 exactly where g accepts U(x) and
+        # rejects V(y)
+        extraction = extract_cc2_refutation(circuit, f, part, require_separation=False)
+        for g, line in enumerate(extraction.lines):
+            bits = 0
+            for x, uv in enumerate(u_vals):
+                for y, vv in enumerate(v_vals):
+                    if not (uv[g] == 1 and vv[g] == 0):
+                        bits |= 1 << ((x << part.n2) | y)
+            assert line.bits == bits
+
+
+    def test_side_cap(self):
+        f = parse_dimacs("p cnf 4 1\n1 2 3 4 0\n")
+        part = VariablePartition.alternating(4)
+        circuit = MonotoneCircuit((ConstGate(0),), 0)
+        for run in (
+            lambda: side_values(circuit, f, part, side_cap=1),
+            lambda: verify_separation(circuit, f, part, side_cap=1),
+            lambda: extract_cc2_refutation(
+                circuit, f, part, side_cap=1, require_separation=False
+            ),
+        ):
+            with pytest.raises(CapExceededError):
+                run()
+
+
+class TestInputLayout:
+    @pytest.mark.parametrize(
+        "gate",
+        [InputGate(0, (1,)), InputGate(5, (0,)), InputGate(1, (0, 1)), InputGate(1, (2,))],
+        ids=["constraint-0", "constraint-m+1", "alpha-length", "alpha-bit-2"],
+    )
+    def test_rejected_before_evaluation(self, gate):
+        f = parse_dimacs(COMPLETE_2CNF)
+        part = VariablePartition((1,), (2,))
+        circuit = MonotoneCircuit((ConstGate(1), gate, AndGate(0, 1)), 2)
+        for run in (
+            lambda: side_values(circuit, f, part),
+            lambda: verify_separation(circuit, f, part),
+            lambda: extract_cc2_refutation(circuit, f, part, require_separation=False),
+        ):
+            with pytest.raises(ValueError, match="gate 1") as info:
+                run()
+            assert info.type is ValueError
 
 
 class TestExtraction:

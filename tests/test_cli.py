@@ -254,6 +254,37 @@ class TestStats:
         assert "distinct" in read_report(report)["results"]
 
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--stat", "expansion", "--n", "1000", "--d", "6", "--m", "4000",
+             "--s-max", "3"],
+            ["--stat", "heavy-partition", "--n", "24", "--d", "6", "--m", "100"],
+            ["--stat", "heavy-sat", "--mode", "sampled", "--n", "32", "--d", "6",
+             "--m", "400"],
+            ["--stat", "profiles", "--mode", "sampled", "--n", "8", "--d", "3",
+             "--m", "20"],
+        ],
+        ids=["expansion", "heavy-partition", "heavy-sat", "profiles"],
+    )
+    def test_zero_trials_exit_2(self, tmp_path, capsys, args):
+        report = tmp_path / "stats.json"
+        code = main(["stats", *args, "--trials", "0", "--report", str(report)])
+        assert code == 2
+        assert not report.exists()
+        assert "trials" in capsys.readouterr().err
+
+    def test_heavy_partition_one_variable_exits_2(self, tmp_path, capsys):
+        report = tmp_path / "hp.json"
+        code = main(
+            ["stats", "--stat", "heavy-partition", "--n", "1", "--d", "1",
+             "--m", "2", "--report", str(report)]
+        )
+        assert code == 2
+        assert not report.exists()
+        assert "n >= 2" in capsys.readouterr().err
+
+
 class TestErrors:
     def test_unknown_command_exits_two(self):
         assert main(["frobnicate"]) == 2
@@ -279,3 +310,24 @@ class TestErrors:
         bad = tmp_path / "bad.cnf"
         bad.write_text("p cnf 1 1\n1 -1 0\n")
         assert main(["roundtrip", "--cnf", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command", ["verify-sep", "extract"])
+    @pytest.mark.parametrize(
+        "gate, message",
+        [("in 0 1", "outside the layout"), ("in 5 0", "outside the layout"),
+         ("in 1 01", "alpha has 2 bits")],
+    )
+    def test_input_gate_outside_layout_exits_2(
+        self, complete2, tmp_path, capsys, command, gate, message
+    ):
+        circuit = tmp_path / "bad.mct"
+        circuit.write_text(f"g0 = {gate}\noutput g0\n")
+        report = tmp_path / "r.json"
+        code = main(
+            [command, "--cnf", str(complete2), "--circuit", str(circuit),
+             "--partition", "x:1", "y:2", "--report", str(report)]
+        )
+        assert code == 2
+        assert not report.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("proofbench: error:") and message in err

@@ -369,3 +369,13 @@ class TestSerialization:
         text = serialize_instance(u).replace("10", "1x", 1)
         with pytest.raises(InstanceTextError):
             parse_instance(text, g)
+
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [("csp-sat a b c\n", 1), ("csp-sat 4 1 2\nblocks 2 x 2 2\n", 2)],
+    )
+    def test_non_integer_counts(self, text, line_no):
+        f, part, g = complete_setup()
+        with pytest.raises(InstanceTextError) as info:
+            parse_instance(text, g)
+        assert info.value.line_no == line_no

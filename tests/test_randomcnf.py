@@ -160,6 +160,19 @@ class TestExpansion:
         assert [r.mode for r in report.rows] == ["exact", "exact", "sampled"]
         assert report.rows[2].trials == 200
 
+    def test_zero_trials_for_a_sampled_size(self):
+        f = sample_f(DistributionParams(30, 40, 3, 2))
+        with pytest.raises(ValueError, match="trials"):
+            expansion_report(
+                f, Fraction(1, 2), 3, exact_up_to=2, trials=0,
+                allow_beyond_regime=True,
+            )
+        # trials are unused when every size is exhausted
+        exact = expansion_report(
+            f, Fraction(1, 2), 2, trials=0, allow_beyond_regime=True
+        )
+        assert [r.mode for r in exact.rows] == ["exact", "exact"]
+
 
 class TestProfiles:
     def test_contradiction_profiles_distinct(self):
@@ -202,6 +215,12 @@ class TestProfiles:
         f = sample_f(DistributionParams(4, 22, 2, 0))
         with pytest.raises(CapExceededError):
             profile_distinctness(f, cap=20)
+
+    def test_sampled_zero_trials(self):
+        # zero sampled pairs must not report the profiles distinct
+        f = parse_dimacs("p cnf 2 1\n1 2 0\n")
+        with pytest.raises(ValueError, match="trials"):
+            profile_distinctness(f, mode="sampled", trials=0)
 
 
 class TestEntropyAndBounds:
@@ -276,6 +295,16 @@ class TestHeavyPartitionSearch:
         b = heavy_partition_search(f, Fraction(1, 4), max_trials=50, seed=5)
         assert a == b
 
+    def test_zero_trials(self):
+        f = sample_f(DistributionParams(100, 24, 6, 8))
+        with pytest.raises(ValueError, match="trials"):
+            heavy_partition_search(f, Fraction(1, 4), max_trials=0)
+
+    def test_one_variable_has_no_two_sided_partition(self):
+        f = parse_dimacs("p cnf 1 2\n1 0\n-1 0\n")
+        with pytest.raises(ValueError, match="n >= 2"):
+            heavy_partition_search(f, Fraction(1, 4))
+
 
 class TestHeavySatFraction:
     def test_no_heavy_clauses(self):
@@ -325,3 +354,9 @@ class TestHeavySatFraction:
         part = VariablePartition((1,), (2, 3, 4))
         report = heavy_sat_fraction(f, part, "y", Fraction(1, 4))
         assert report.heavy_count == 1 and report.fraction == Fraction(7, 8)
+
+    def test_sampled_zero_trials(self):
+        f = CnfFormula(4, (Clause.from_signed([1, -2, 3]),))
+        part = VariablePartition((1, 2, 3), (4,))
+        with pytest.raises(ValueError, match="trials"):
+            heavy_sat_fraction(f, part, "x", Fraction(1, 4), mode="sampled", trials=0)
