@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bitops import full_mask, iter_bits
+from .bitops import full_mask
 from .cnf import Clause, CnfFormula, VariablePartition, clause_to_inequality
 from .circuit_text import parse_circuit, serialize_circuit
 from .cpproof import (
@@ -51,7 +51,7 @@ from .protocol import (
     inequality_protocol,
     good_from_masks,
 )
-from .semantics import SemanticLine, check_semantic_step
+from .semantics import SemanticLine, check_semantic_step, rectangle_bits
 
 __all__ = [
     "CcLine",
@@ -143,24 +143,6 @@ def _check_side_cap(part: VariablePartition, side_cap: int) -> None:
         )
 
 
-def _variable_masks(side_vars: tuple[int, ...]) -> dict[int, int]:
-    """Per side variable, the mask of side indices where it is 1, in
-    ``Assignment.from_index`` order (first variable most significant).
-    """
-    k = len(side_vars)
-    size = 1 << k
-    masks = {}
-    for p, v in enumerate(side_vars):
-        w = 1 << (k - 1 - p)
-        mask = full_mask(w) << w  # one period: w indices at 0, then w at 1
-        period = 2 * w
-        while period < size:
-            mask |= mask << period
-            period *= 2
-        masks[v] = mask
-    return masks
-
-
 def _check_inputs(
     circuit: MonotoneCircuit, formula: CnfFormula, part: VariablePartition
 ) -> None:
@@ -207,8 +189,7 @@ def side_values(
     _check_inputs(circuit, formula, part)
     xfull = full_mask(1 << part.n1)
     yfull = full_mask(1 << part.n2)
-    xbit = _variable_masks(part.xvars)
-    ybit = _variable_masks(part.yvars)
+    var_masks = part.var_masks
     val_u: list[int] = []
     val_v: list[int] = []
     for gate in circuit.gates:
@@ -217,13 +198,14 @@ def side_values(
             xlits = sorted(clause.side_literals(part.xset), key=lambda l: l.var)
             vu = xfull
             for lit, a in zip(xlits, gate.alpha):
-                vu &= xbit[lit.var] if a else xfull ^ xbit[lit.var]
+                vu &= var_masks[lit.var] if a else xfull ^ var_masks[lit.var]
             if any(lit.satisfied_by(a) for lit, a in zip(xlits, gate.alpha)):
                 vv = yfull
             else:
                 vv = 0
                 for lit in clause.side_literals(part.yset):
-                    vv |= (yfull ^ ybit[lit.var]) if lit.negated else ybit[lit.var]
+                    ones = var_masks[lit.var]
+                    vv |= yfull ^ ones if lit.negated else ones
         elif isinstance(gate, ConstGate):
             vu = xfull if gate.bit else 0
             vv = yfull if gate.bit else 0
@@ -427,14 +409,11 @@ def compile_cc_refutation(
     for i, ln in enumerate(lines):
         masks = full_history_masks(ln.tree)
         for h, (xm, ym) in masks.items():
-            if xm == 0 or ym == 0:
-                continue
-            out = ln.tree.output_at(h)
-            for x in iter_bits(xm):
-                if ln.table.row(x) & ym != (ym if out else 0):
-                    raise SoundnessError(
-                        f"line {i}: protocol tree disagrees with the table"
-                    )
+            rect = rectangle_bits(xm, ym, part.n2)
+            if ln.table.bits & rect != (rect if ln.tree.output_at(h) else 0):
+                raise SoundnessError(
+                    f"line {i}: protocol tree disagrees with the table"
+                )
         masks_per_line.append(masks)
 
     builder = CircuitBuilder()
@@ -443,25 +422,19 @@ def compile_cc_refutation(
     records: list[NodeRecord] = []
 
     def build_axiom(i: int, ln: CcLine) -> None:
-        # Nonempty good histories of a clause line fix the restriction of x
-        # to the clause's X-side variables; that entry is the gate. Empty
-        # good histories are not materialized (constants serve them later).
-        vs = tuple(sorted(formula.clauses[ln.axiom - 1].vars & part.xset))
+        # The line's table is its clause's (checked above), so a nonempty good
+        # rectangle holds only x falsifying the clause's X-literals: the entry
+        # alpha is their falsifying bits in variable order. Empty good
+        # histories are not materialized (constants serve them later).
+        clause = formula.clauses[ln.axiom - 1]
+        xlits = sorted(clause.side_literals(part.xset), key=lambda l: l.var)
+        alpha = tuple(int(lit.negated) for lit in xlits)
         for h in good_from_masks(masks_per_line[i], ln.table):
             xm, ym = masks_per_line[i][h]
-            if xm == 0 or ym == 0:
-                continue
-            witness = part.x_assignment(next(iter_bits(xm)))
-            alpha = tuple(witness.bit(v) for v in vs)
-            for x in iter_bits(xm):
-                xa = part.x_assignment(x)
-                if tuple(xa.bit(v) for v in vs) != alpha:
-                    raise SoundnessError(
-                        f"line {i}: good history mixes clause restrictions"
-                    )
-            gate = builder.input_gate(ln.axiom, alpha)
-            built[(i, h)] = gate
-            entries.append(CompiledLineCircuit(i, h, gate))
+            if xm and ym:
+                gate = builder.input_gate(ln.axiom, alpha)
+                built[(i, h)] = gate
+                entries.append(CompiledLineCircuit(i, h, gate))
 
     xfull = full_mask(1 << part.n1)
     yfull = full_mask(1 << part.n2)
@@ -654,24 +627,15 @@ def extract_cc2_refutation(
                 f"(failing x={sep.failing_x}, y={sep.failing_y})"
             )
 
-    n2 = part.n2
-    yfull = full_mask(1 << n2)
+    yfull = full_mask(1 << part.n2)
     full = full_mask(1 << part.n)
-    # spread(v) moves bit x of v to bit x << n2; it is built a byte of v at
-    # a time from the spreads of all 256 byte values.
-    byte_spread = [sum(1 << (j << n2) for j in iter_bits(b)) for b in range(256)]
     lines: list[SemanticLine] = []
     trees: list[ProtocolTree] = []
     provenance: dict[int, tuple[int, tuple[int, ...]]] = {}
     for g, gate in enumerate(circuit.gates):
-        # The line is 0 where the gate accepts U(x) and rejects V(y). Row x
-        # sits at bit x << n2 and every row is narrower than that stride, so
-        # the product places zero_row at each accepted x without carries.
-        zero_row = ~val_v[g] & yfull
-        spread = 0
-        for c in range(0, 1 << part.n1, 8):
-            spread |= byte_spread[(val_u[g] >> c) & 255] << (c << n2)
-        lines.append(SemanticLine(part.n1, part.n2, full ^ (zero_row * spread)))
+        # The line is 0 where the gate accepts U(x) and rejects V(y).
+        zero = rectangle_bits(val_u[g], ~val_v[g] & yfull, part.n2)
+        lines.append(SemanticLine(part.n1, part.n2, full ^ zero))
         owners = {"": ALICE, "0": BOB, "1": BOB}
         preds = {"": val_u[g], "0": val_v[g], "1": val_v[g]}
         outputs = {h: (0 if h == "10" else 1) for h in ("00", "01", "10", "11")}

@@ -217,6 +217,40 @@ class VariablePartition:
         """Odd indices to X, even indices to Y."""
         return cls(tuple(range(1, n + 1, 2)), tuple(range(2, n + 1, 2)))
 
+    @cached_property
+    def var_masks(self) -> dict[int, int]:
+        """Per variable, the mask of its side's indices where it is 1, in
+        ``Assignment.from_index`` order (first variable most significant):
+        one period of w zeros and w ones, doubled until it spans the side.
+        """
+        masks = {}
+        for side in (self.xvars, self.yvars):
+            k = len(side)
+            for p, v in enumerate(side):
+                w = 1 << (k - 1 - p)
+                mask = ((1 << w) - 1) << w
+                period = 2 * w
+                while period < 1 << k:
+                    mask |= mask << period
+                    period *= 2
+                masks[v] = mask
+        return masks
+
+    def partial_sums(self, coeffs: Sequence[int]) -> tuple[list[int], list[int]]:
+        """Every X index's and every Y index's sum of ``coeffs[v - 1]`` over
+        the side variables v set to 1. Doubling in from the last variable,
+        the lowest index bit, keeps ``Assignment.from_index`` order.
+        """
+
+        def side_sums(side: tuple[int, ...]) -> list[int]:
+            sums = [0]
+            for v in reversed(side):
+                c = coeffs[v - 1]
+                sums += [s + c for s in sums]
+            return sums
+
+        return side_sums(self.xvars), side_sums(self.yvars)
+
     def x_assignment(self, index: int) -> Assignment:
         return Assignment.from_index(self.xvars, index)
 

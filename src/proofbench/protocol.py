@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping
 
-from .bitops import full_mask, iter_bits
+from .bitops import full_mask, iter_bits, value_masks
 from .cnf import Assignment, Clause, VariablePartition
 from .errors import CapExceededError, ScopeError
 from .linear import LinearInequality
-from .semantics import SemanticLine, falsifying_mask
+from .semantics import SemanticLine, falsifying_mask, rectangle_bits
 
 ALICE = "alice"
 BOB = "bob"
@@ -102,8 +102,8 @@ def clause_protocol(
     falsified and always sends 0.
     """
     _check_side_caps(part, side_cap)
-    alice_false = falsifying_mask(clause.side_literals(part.xset), part.xvars)
-    bob_false = falsifying_mask(clause.side_literals(part.yset), part.yvars)
+    alice_false = falsifying_mask(clause.side_literals(part.xset), part, part.xvars)
+    bob_false = falsifying_mask(clause.side_literals(part.yset), part, part.yvars)
     alice_pred = full_mask(1 << part.n1) & ~alice_false
     bob_pred = full_mask(1 << part.n2) & ~bob_false
     owners = {"": ALICE, "0": BOB, "1": BOB}
@@ -126,17 +126,11 @@ def inequality_protocol(
     if ineq.n != part.n:
         raise ValueError("inequality arity does not match the partition")
     _check_side_caps(part, side_cap)
-    asums = [
-        sum(ineq.coeffs[v - 1] * part.x_assignment(x).bit(v) for v in part.xvars)
-        for x in range(1 << part.n1)
-    ]
-    bsums = [
-        sum(ineq.coeffs[v - 1] * part.y_assignment(y).bit(v) for v in part.yvars)
-        for y in range(1 << part.n2)
-    ]
+    asums, bsums = part.partial_sums(ineq.coeffs)
     amin, amax = min(asums), max(asums)
-    bconst = all(b == bsums[0] for b in bsums)
-    if amin == amax and bconst:
+    by_asum = value_masks(asums)
+    by_bsum = value_masks(bsums)
+    if amin == amax and len(by_bsum) == 1:
         return constant_tree(part, int(amin + bsums[0] >= ineq.constant))
     w = (amax - amin).bit_length() if amax > amin else 0
     depth = w + 1
@@ -148,10 +142,7 @@ def inequality_protocol(
     preds: dict[str, int] = {}
     for level in range(w):
         shift = w - 1 - level
-        mask = 0
-        for x_idx, a in enumerate(asums):
-            if ((a - amin) >> shift) & 1:
-                mask |= 1 << x_idx
+        mask = sum(xm for a, xm in by_asum.items() if ((a - amin) >> shift) & 1)
         for prefix in product("01", repeat=level):
             p = "".join(prefix)
             owners[p] = ALICE
@@ -159,10 +150,7 @@ def inequality_protocol(
     for prefix in product("01", repeat=w):
         p = "".join(prefix)
         announced = amin + (int(p, 2) if p else 0)
-        mask = 0
-        for y_idx, b in enumerate(bsums):
-            if announced + b >= ineq.constant:
-                mask |= 1 << y_idx
+        mask = sum(ym for b, ym in by_bsum.items() if announced + b >= ineq.constant)
         owners[p] = BOB
         preds[p] = mask
     outputs = {
@@ -250,15 +238,11 @@ def good_from_masks(
     masks: dict[str, tuple[int, int]], line: SemanticLine
 ) -> list[str]:
     """Good histories given precomputed full-history masks."""
-    goods = []
-    for h in sorted(masks):
-        xm, ym = masks[h]
-        if xm == 0 or ym == 0:
-            goods.append(h)
-            continue
-        if all(line.row(x) & ym == 0 for x in iter_bits(xm)):
-            goods.append(h)
-    return goods
+    return [
+        h
+        for h in sorted(masks)
+        if line.bits & rectangle_bits(*masks[h], line.n2) == 0
+    ]
 
 
 def good_histories(

@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Mapping
 
 from .cnf import (
     Clause,
@@ -219,6 +220,11 @@ def expansion_report(
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
+    if min(s_max, formula.m) < 1:
+        raise ValueError(
+            f"no clause-set size to check: s_max={s_max} and m={formula.m} "
+            "must both be at least 1"
+        )
     d = formula.width
     regime = expansion_regime_max_size(formula.n, d) if d else 0
     if s_max > regime and not allow_beyond_regime:
@@ -289,22 +295,20 @@ class ProfileReport:
         }
 
 
-def _clause_masks(formula: CnfFormula) -> list[tuple[int, int]]:
-    """Per clause, (variable mask, falsifying pattern) over assignment bits.
-
-    Bit v-1 of an assignment integer is variable v's value. A clause is
-    falsified exactly when the masked bits equal the pattern.
+def _falsifying_pattern(
+    literals: Iterable[Literal], position: Mapping[int, int]
+) -> tuple[int, int]:
+    """(mask, pattern) of the literals over assignment integers whose bit
+    ``position[v]`` is variable v's value: the literals are all falsified
+    exactly when the masked bits equal the pattern.
     """
-    masks = []
-    for clause in formula.clauses:
-        mask = pattern = 0
-        for lit in clause.literals:
-            bit = 1 << (lit.var - 1)
-            mask |= bit
-            if lit.negated:
-                pattern |= bit
-        masks.append((mask, pattern))
-    return masks
+    mask = pattern = 0
+    for lit in literals:
+        bit = 1 << position[lit.var]
+        mask |= bit
+        if lit.negated:
+            pattern |= bit
+    return mask, pattern
 
 
 def _profile_of(alpha: int, masks: list[tuple[int, int]]) -> frozenset[int]:
@@ -327,8 +331,9 @@ def profile_distinctness(
     frozen index sets confirms collisions exactly. Sampled mode compares
     random assignment pairs.
     """
-    masks = _clause_masks(formula)
     n = formula.n
+    position = {v: v - 1 for v in range(1, n + 1)}
+    masks = [_falsifying_pattern(c.literals, position) for c in formula.clauses]
     if mode == "exact":
         if n > cap:
             raise CapExceededError(f"exact profiles need n <= {cap}, got {n}")
@@ -541,6 +546,8 @@ def heavy_sat_fraction(
     reference bound for comparison in the intended regime.
     """
     epsilon = Fraction(epsilon)
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie strictly between 0 and 1")
     if side not in ("x", "y"):
         raise ValueError("side must be 'x' or 'y'")
     side_vars = part.xvars if side == "x" else part.yvars
@@ -550,16 +557,11 @@ def heavy_sat_fraction(
     heavy = [
         c for c in formula.clauses if len(c.vars & side_set) > cut
     ]
-    pos = {v: i for i, v in enumerate(side_vars)}
-    checks = []
-    for clause in heavy:
-        mask = pattern = 0
-        for lit in clause.side_literals(side_set):
-            bit = 1 << pos[lit.var]
-            mask |= bit
-            if lit.negated:
-                pattern |= bit
-        checks.append((mask, pattern))
+    # Least significant first, so sampled mode reads getrandbits(k) directly.
+    position = {v: i for i, v in enumerate(side_vars)}
+    checks = [
+        _falsifying_pattern(c.side_literals(side_set), position) for c in heavy
+    ]
     lll_reference = math.exp(-formula.n / (50 * d)) if d else 0.0
     k = len(side_vars)
     if mode == "exact":

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .bitops import full_mask, iter_bits
+from .bitops import full_mask, spread, value_masks
 from .cnf import Assignment, Clause, Literal, VariablePartition
 from .errors import CapExceededError
 from .linear import LinearInequality
@@ -18,24 +18,30 @@ from .linear import LinearInequality
 DEFAULT_TABLE_CAP = 24
 
 
-def falsifying_mask(literals: Iterable[Literal], side_vars: tuple[int, ...]) -> int:
+def falsifying_mask(
+    literals: Iterable[Literal], part: VariablePartition, side_vars: tuple[int, ...]
+) -> int:
     """Mask of side-input indices whose restriction falsifies every literal.
 
-    Only literals over ``side_vars`` may be passed. An empty literal list is
-    vacuously falsified everywhere, giving the full mask.
+    Only literals over ``side_vars`` (``part.xvars`` or ``part.yvars``) may be
+    passed. An empty literal list is vacuously falsified everywhere, giving
+    the full mask.
     """
-    k = len(side_vars)
-    pos = {v: i for i, v in enumerate(side_vars)}
-    mask = full_mask(1 << k)
+    full = full_mask(1 << len(side_vars))
+    var_masks = part.var_masks
+    mask = full
     for lit in literals:
-        p = pos[lit.var]
-        want = 1 if lit.negated else 0
-        lit_false = 0
-        for idx in range(1 << k):
-            if (idx >> (k - 1 - p)) & 1 == want:
-                lit_false |= 1 << idx
-        mask &= lit_false
+        mask &= var_masks[lit.var] if lit.negated else full ^ var_masks[lit.var]
     return mask
+
+
+def rectangle_bits(xmask: int, ymask: int, n2: int) -> int:
+    """Table bits of the inputs with x in ``xmask`` and y in ``ymask``.
+
+    Spreading puts bit x of ``xmask`` at bit ``x << n2``; the product then
+    copies ``ymask`` there, without carries because ``ymask < 2^(2^n2)``.
+    """
+    return ymask * spread(xmask, 1 << n2)
 
 
 def _check_cap(part: VariablePartition, cap: int) -> None:
@@ -84,15 +90,12 @@ class SemanticLine:
         _check_cap(part, cap)
         lits = tuple(literals)
         xf = falsifying_mask(
-            tuple(l for l in lits if l.var in part.xset), part.xvars
+            tuple(l for l in lits if l.var in part.xset), part, part.xvars
         )
         yf = falsifying_mask(
-            tuple(l for l in lits if l.var in part.yset), part.yvars
+            tuple(l for l in lits if l.var in part.yset), part, part.yvars
         )
-        bits = full_mask(1 << part.n)
-        n2 = part.n2
-        for x_idx in iter_bits(xf):
-            bits &= ~(yf << (x_idx << n2))
+        bits = full_mask(1 << part.n) ^ rectangle_bits(xf, yf, part.n2)
         return cls(part.n1, part.n2, bits)
 
     @classmethod
@@ -111,28 +114,12 @@ class SemanticLine:
         _check_cap(part, cap)
         if ineq.n != part.n:
             raise ValueError("inequality arity does not match the partition")
-        asums = [
-            sum(
-                ineq.coeffs[v - 1] * part.x_assignment(x).bit(v)
-                for v in part.xvars
-            )
-            for x in range(1 << part.n1)
-        ]
-        bsums = [
-            sum(
-                ineq.coeffs[v - 1] * part.y_assignment(y).bit(v)
-                for v in part.yvars
-            )
-            for y in range(1 << part.n2)
-        ]
+        asums, bsums = part.partial_sums(ineq.coeffs)
+        by_bsum = value_masks(bsums)
         bits = 0
-        n2 = part.n2
-        for x_idx, ax in enumerate(asums):
-            row = 0
-            for y_idx, by in enumerate(bsums):
-                if ax + by >= ineq.constant:
-                    row |= 1 << y_idx
-            bits |= row << (x_idx << n2)
+        for a, xm in value_masks(asums).items():
+            row = sum(ym for b, ym in by_bsum.items() if a + b >= ineq.constant)
+            bits |= rectangle_bits(xm, row, part.n2)
         return cls(part.n1, part.n2, bits)
 
     @classmethod

@@ -280,10 +280,8 @@ def test_criterion_04_converse_extraction(compiled_batch):
     _report(4, f"{passed}/100 extractions validate in {elapsed:.1f}s")
 
 
-def test_separation_and_extraction_wall_time():
-    # At n=16 every side has 2^8 instances; checking separation and
-    # extracting by building each U(x) and V(y) took about 4.7 s here, the
-    # bit-parallel side masks about 0.3 s.
+@pytest.fixture(scope="module")
+def unsat_n16():
     index = 0
     while True:
         formula = sample_f(
@@ -291,10 +289,58 @@ def test_separation_and_extraction_wall_time():
         )
         index += 1
         if brute_force_sat(formula) is None:
-            break
+            return formula, resolution_refutation_from_dpll(formula)
+
+
+def test_compile_wall_time(unsat_n16):
+    # Every table, protocol and rectangle check goes through the side-index
+    # kernel; building an Assignment per side index instead took 0.7-1.0 s
+    # (Python 3.11, one core).
+    formula, refutation = unsat_n16
     part = VariablePartition.alternating(16)
-    refutation = resolution_refutation_from_dpll(formula)
-    result = compile_cc_refutation(cc_lines_from_resolution(refutation, part), formula, part)
+    t0 = time.perf_counter()
+    cc = cc_lines_from_resolution(refutation, part)
+    result = compile_cc_refutation(cc, formula, part)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 0.5
+    _report(
+        "n16-compile",
+        f"{len(cc)} lines, {result.circuit.gate_count} gates in {elapsed:.2f}s",
+    )
+
+
+def test_inequality_tables_and_protocols_wall_time():
+    # The cutting-planes route builds a table and a protocol per proof line;
+    # from per-index Assignments these 50 took about 3.3 s (Python 3.11).
+    rng = random.Random(derive_seed(MASTER_SEED, "weight-3"))
+    part = VariablePartition.alternating(16)
+    ineqs = [
+        LinearInequality(
+            tuple(rng.randint(-3, 3) for _ in range(16)), rng.randint(-3, 3)
+        )
+        for _ in range(50)
+    ]
+    t0 = time.perf_counter()
+    depth = 0
+    for ineq in ineqs:
+        SemanticLine.from_inequality(ineq, part)
+        depth = max(depth, inequality_protocol(ineq, part).depth)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0
+    _report(
+        "n16-inequalities",
+        f"50 tables and protocols (depth <= {depth}) in {elapsed:.2f}s",
+    )
+
+
+def test_separation_and_extraction_wall_time(unsat_n16):
+    # At n=16 every side has 2^8 instances; checking separation and
+    # extracting by building each U(x) and V(y) took about 4.7 s (Python
+    # 3.11, one core), the bit-parallel side masks about 0.3 s.
+    formula, refutation = unsat_n16
+    part = VariablePartition.alternating(16)
+    cc = cc_lines_from_resolution(refutation, part)
+    result = compile_cc_refutation(cc, formula, part)
     t0 = time.perf_counter()
     assert verify_separation(result.circuit, formula, part).passed
     extraction = extract_cc2_refutation(result.circuit, formula, part)

@@ -44,7 +44,7 @@ from proofbench.cspsat import (
 from proofbench.errors import CapExceededError, CircuitTextError, SoundnessError
 from proofbench.gates import AndGate, ConstGate, InputGate, MonotoneCircuit, OrGate
 from proofbench.linear import LinearInequality
-from proofbench.protocol import materialize_rectangle
+from proofbench.protocol import clause_protocol, materialize_rectangle
 from proofbench.semantics import SemanticLine
 
 COMPLETE_2CNF = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
@@ -213,6 +213,19 @@ class TestCompilePreconditions:
         # swap line 4's tree for line 5's; the tables differ
         bad[4] = CcLine(bad[4].table, bad[5].tree, premises=bad[4].premises)
         with pytest.raises(SoundnessError, match="disagrees"):
+            compile_cc_refutation(bad, f, part)
+
+    @pytest.mark.parametrize("line, other", [(0, 1), (3, 2)])
+    def test_axiom_with_another_clauses_protocol_rejected(self, line, other):
+        # The table stays the clause's own, so only the tree-vs-table check
+        # fails. Clause 4 under clause 3's protocol disagrees only at x = 1.
+        f, part, cc, _ = compile_complete()
+        bad = list(cc)
+        tree = clause_protocol(f.clauses[other], part)
+        bad[line] = CcLine(bad[line].table, tree, axiom=bad[line].axiom)
+        with pytest.raises(
+            SoundnessError, match=f"line {line}: protocol tree disagrees"
+        ):
             compile_cc_refutation(bad, f, part)
 
     def test_final_line_must_be_silent(self):

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from proofbench.cli import main
 from proofbench.cnf import parse_dimacs
@@ -274,6 +278,27 @@ class TestStats:
         assert not report.exists()
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--stat", "expansion", "--s-max", "0"], "no clause-set size"),
+            (["--stat", "expansion", "--s-max", "-2"], "no clause-set size"),
+            (["--stat", "heavy-sat", "--epsilon", "2"], "strictly between"),
+            (["--stat", "heavy-sat", "--epsilon", "0"], "strictly between"),
+            (["--stat", "heavy-sat", "--epsilon", "-1"], "strictly between"),
+        ],
+        ids=["s-max-0", "s-max-neg", "epsilon-2", "epsilon-0", "epsilon-neg"],
+    )
+    def test_nothing_to_report_exits_2(self, tmp_path, capsys, args, message):
+        report = tmp_path / "stats.json"
+        code = main(
+            ["stats", *args, "--n", "5", "--d", "3", "--m", "10",
+             "--report", str(report)]
+        )
+        assert code == 2
+        assert not report.exists()
+        assert message in capsys.readouterr().err
+
     def test_heavy_partition_one_variable_exits_2(self, tmp_path, capsys):
         report = tmp_path / "hp.json"
         code = main(
@@ -331,3 +356,156 @@ class TestErrors:
         assert not report.exists()
         err = capsys.readouterr().err
         assert err.startswith("proofbench: error:") and message in err
+
+
+# --- fuzzing the whole command line ---------------------------------------------
+
+FUZZ_CNFS = {
+    "complete2": COMPLETE_2CNF,
+    "contra": CONTRADICTION,
+    "unsat3": "p cnf 3 8\n1 2 3 0\n1 2 -3 0\n1 -2 3 0\n1 -2 -3 0\n"
+    "-1 2 3 0\n-1 2 -3 0\n-1 -2 3 0\n-1 -2 -3 0\n",
+    "sat": "p cnf 2 1\n1 2 0\n",
+    "empty": "p cnf 2 0\n",
+    "tautology": "p cnf 1 1\n1 -1 0\n",
+    "count": "p cnf 2 3\n1 0\n",
+    "junk": "hello\n",
+    "blank": "",
+}
+FUZZ_CIRCUITS = {
+    "const0": "g0 = const0\noutput g0\n",
+    "const1": "g0 = const1\noutput g0\n",
+    "in": "g0 = in 1 0\ng1 = in 2 1\ng2 = or g0 g1\noutput g2\n",
+    "layout": "g0 = in 0 1\noutput g0\n",
+    "forward": "g0 = and g1 g1\noutput g0\n",
+    "junk": "g0 = nand\n",
+    "blank": "",
+}
+FUZZ_PROOFS = {
+    "contra": CONTRADICTION_PROOF,
+    "wrong": "1: 1 >= 2 ; hyp 1\n",
+    "arity": "1: 1 1 1 >= 1 ; hyp 1\n",
+    "junk": "1: >= ; add\n",
+    "blank": "",
+}
+FUZZ_PARTITIONS = [
+    ["alternating"], ["x:1", "y:2"], ["x:2", "y:1,3"], ["x:1,2,3", "y:"],
+    ["x:", "y:1"], ["search"], ["search:1/4:8"], ["search:2"], ["search:x"],
+    ["search:1/2:0"], ["q:1"], ["x:1", "y:1"], ["x:0"], ["x:a"],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for kind, files in (
+        ("cnf", FUZZ_CNFS), ("mct", FUZZ_CIRCUITS), ("cpp", FUZZ_PROOFS)
+    ):
+        for name, text in files.items():
+            (root / f"{name}.{kind}").write_text(text)
+    # a circuit that really separates, for verify-sep and extract to pass
+    assert main(
+        ["compile", "--cnf", str(root / "complete2.cnf"), "--partition",
+         "x:1", "y:2", "--out", str(root / "good.mct")]
+    ) == 0
+    return root
+
+
+def _num(low, high, *bad):
+    """A count in [low, high], or sometimes one of the out-of-range ``bad``."""
+    values = st.integers(low, high)
+    if bad:
+        values = st.one_of(values, values, values, st.sampled_from(bad))
+    return values.map(str)
+
+
+@st.composite
+def fuzz_argv(draw, root):
+    def pick(files, kind, good):
+        # half the time the file that lets the command succeed
+        names = list(files) + (["good"] if kind == "mct" else []) + ["missing"]
+        name = draw(st.one_of(st.just(good), st.sampled_from(names)))
+        return str(root / f"{name}.{kind}")
+
+    def option(flag, values):
+        return [flag, draw(values)] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(
+        ["gen", "check-proof", "compile", "verify-sep", "extract", "stats",
+         "roundtrip"]
+    ))
+    argv = [command]
+    spec = st.one_of(st.just(["alternating"]), st.sampled_from(FUZZ_PARTITIONS))
+    partition = ["--partition", *draw(spec)]
+    if command == "gen":
+        argv += ["--dist", draw(st.sampled_from(["f", "tensor"]))]
+        argv += ["--n", draw(_num(1, 6, 0, -1)), "--d", draw(_num(1, 3, 0, 7))]
+        argv += ["--m", draw(_num(1, 8, 0)), "--seed", draw(_num(0, 9))]
+        out = draw(st.sampled_from(["out.cnf", "no/out.cnf"]))
+        argv += ["--out", str(root / out)]
+    elif command == "check-proof":
+        argv += ["--cnf", pick(FUZZ_CNFS, "cnf", "contra")]
+        argv += ["--proof", pick(FUZZ_PROOFS, "cpp", "contra")]
+        argv += option("--weight-bound", _num(1, 4, 0, -1))
+        if draw(st.booleans()):
+            argv.append("--no-require-refutation")
+    elif command == "compile":
+        argv += ["--cnf", pick(FUZZ_CNFS, "cnf", "complete2")]
+        argv += ["--out", str(root / "out.mct")] + partition
+        if draw(st.booleans()):
+            argv += ["--proof", pick(FUZZ_PROOFS, "cpp", "contra")]
+    elif command in ("verify-sep", "extract"):
+        argv += ["--cnf", pick(FUZZ_CNFS, "cnf", "complete2")]
+        argv += ["--circuit", pick(FUZZ_CIRCUITS, "mct", "good")]
+        argv += partition
+    elif command == "stats":
+        stat = draw(st.sampled_from(
+            ["unsat-rate", "expansion", "profiles", "heavy-partition", "heavy-sat"]
+        ))
+        argv += ["--stat", stat, "--n", draw(_num(2, 8, 0, 1))]
+        argv += ["--d", draw(_num(1, 3, 0, 9)), "--m", draw(_num(1, 30, 0))]
+        argv += ["--trials", draw(_num(1, 20, 0, -1))]
+        argv += option("--dist", st.sampled_from(["f", "tensor"]))
+        if draw(st.booleans()):
+            argv += ["--cnf", pick(FUZZ_CNFS, "cnf", "unsat3")]
+        argv += option("--samples", _num(1, 3, 0, -1))
+        epsilons = ["1/2", "1/4", "2", "0", "-1", "x"]
+        argv += option("--epsilon", st.sampled_from(epsilons))
+        argv += ["--s-max", draw(_num(1, 3, 0, -2))]
+        argv += option("--mode", st.sampled_from(["exact", "sampled"]))
+        argv += option("--side", st.sampled_from(["x", "y"]))
+        if draw(st.booleans()):
+            argv.append("--beyond-regime")
+        if draw(st.booleans()):
+            argv += partition
+    else:
+        argv += ["--cnf", pick(FUZZ_CNFS, "cnf", "unsat3")] + partition
+    if command not in ("gen", "check-proof"):
+        argv += option("--seed", _num(0, 5))
+    if draw(st.booleans()):
+        argv += ["--report", str(root / "report.json")]
+    if draw(st.sampled_from([False] * 9 + [True])):  # a stray token
+        stray = draw(st.sampled_from(["--n", "-x", "0"]))
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+class TestFuzz:
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(data=st.data())
+    def test_exit_codes_and_reports(self, fuzz_dir, data):
+        argv = data.draw(fuzz_argv(fuzz_dir))
+        report = fuzz_dir / "report.json"
+        report.unlink(missing_ok=True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            text = report.read_text() if "--report" in argv else out.getvalue()
+            assert "results" in json.loads(text), argv

@@ -173,6 +173,19 @@ class TestExpansion:
         )
         assert [r.mode for r in exact.rows] == ["exact", "exact"]
 
+    @pytest.mark.parametrize("s_max", [0, -2])
+    def test_no_size_to_check(self, s_max):
+        # an empty row list must not be reported as every size passing
+        f = sample_f(DistributionParams(10, 5, 3, 0))
+        with pytest.raises(ValueError, match="no clause-set size"):
+            expansion_report(f, Fraction(1, 2), s_max)
+
+    def test_formula_without_clauses(self):
+        with pytest.raises(ValueError, match="no clause-set size"):
+            expansion_report(
+                CnfFormula(3, ()), Fraction(1, 2), 1, allow_beyond_regime=True
+            )
+
 
 class TestProfiles:
     def test_contradiction_profiles_distinct(self):
@@ -360,3 +373,32 @@ class TestHeavySatFraction:
         part = VariablePartition((1, 2, 3), (4,))
         with pytest.raises(ValueError, match="trials"):
             heavy_sat_fraction(f, part, "x", Fraction(1, 4), mode="sampled", trials=0)
+
+    def test_sampled_bit_i_is_side_variable_i(self):
+        # Sampled mode reads getrandbits(k) with bit i as the i-th side
+        # variable; replay the same draws against the clause itself.
+        f = CnfFormula(
+            5, (Clause.from_signed([1, 4, -5]), Clause.from_signed([2, -5]))
+        )
+        part = VariablePartition((5, 1, 4), (2, 3))
+        report = heavy_sat_fraction(
+            f, part, "x", Fraction(1, 4), mode="sampled", trials=300, seed=11
+        )
+        rng = random.Random(derive_seed(11, "heavy-sat"))
+        heavy = f.clauses[0]
+        good = 0
+        for _ in range(300):
+            a = rng.getrandbits(3)
+            bits = {v: (a >> i) & 1 for i, v in enumerate(part.xvars)}
+            good += any(lit.satisfied_by(bits[lit.var]) for lit in heavy.literals)
+        assert report.heavy_count == 1
+        assert report.fraction == good / 300
+
+    @pytest.mark.parametrize("epsilon", [2, 1, 0, -1])
+    def test_epsilon_outside_open_interval(self, epsilon):
+        # epsilon >= 1 made every clause heavy, even one with no literal on
+        # the side; epsilon <= 0 left none heavy
+        f = CnfFormula(4, (Clause.from_signed([1, -2, 3]),))
+        part = VariablePartition((1, 2, 3), (4,))
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            heavy_sat_fraction(f, part, "x", Fraction(epsilon))
