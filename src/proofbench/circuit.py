@@ -35,20 +35,20 @@ from .cpproof import (
     Division,
     Hypothesis,
     ResolutionRefutation,
+    cp_lines_to_protocols,
+    is_refutation_terminal,
 )
 from .cspsat import CspSatInstance
-from .errors import CapExceededError, ScopeError, SoundnessError
+from .errors import ScopeError, SoundnessError
 from .gates import AndGate, ConstGate, Gate, InputGate, MonotoneCircuit, OrGate
 from .protocol import (
     ALICE,
     BOB,
-    DEFAULT_DEPTH_CAP,
-    DEFAULT_SIDE_CAP,
     ProtocolTree,
+    check_side_cap,
     clause_protocol,
     constant_tree,
     full_history_masks,
-    inequality_protocol,
     good_from_masks,
 )
 from .semantics import SemanticLine, check_semantic_step, rectangle_bits
@@ -136,13 +136,6 @@ def eval_circuit(circuit: MonotoneCircuit, inst: CspSatInstance) -> int:
 # --- bit-parallel evaluation on every U(x) and V(y) ---------------------------
 
 
-def _check_side_cap(part: VariablePartition, side_cap: int) -> None:
-    if part.n1 > side_cap or part.n2 > side_cap:
-        raise CapExceededError(
-            f"partition sides ({part.n1}, {part.n2}) exceed cap {side_cap}"
-        )
-
-
 def _check_inputs(
     circuit: MonotoneCircuit, formula: CnfFormula, part: VariablePartition
 ) -> None:
@@ -170,10 +163,7 @@ def _check_inputs(
 
 
 def side_values(
-    circuit: MonotoneCircuit,
-    formula: CnfFormula,
-    part: VariablePartition,
-    side_cap: int = DEFAULT_SIDE_CAP,
+    circuit: MonotoneCircuit, formula: CnfFormula, part: VariablePartition
 ) -> tuple[list[int], list[int]]:
     """Per gate, the mask of x indices where it accepts U(x) and the mask of
     y indices where it accepts V(y).
@@ -185,7 +175,7 @@ def side_values(
     clause i's X-literals or y one of its Y-literals. Raises ``ValueError``
     for an input gate outside the layout before evaluating anything.
     """
-    _check_side_cap(part, side_cap)
+    check_side_cap(part)
     _check_inputs(circuit, formula, part)
     xfull = full_mask(1 << part.n1)
     yfull = full_mask(1 << part.n2)
@@ -238,9 +228,7 @@ class CcLine:
 
 
 def cc_lines_from_resolution(
-    refutation: ResolutionRefutation,
-    part: VariablePartition,
-    side_cap: int = DEFAULT_SIDE_CAP,
+    refutation: ResolutionRefutation, part: VariablePartition
 ) -> tuple[CcLine, ...]:
     """Clause lines get the two-bit clause protocol; the empty clause gets the
     silent constant-0 protocol.
@@ -250,7 +238,7 @@ def cc_lines_from_resolution(
         table = SemanticLine.from_literals(line.literals, part)
         if line.literals:
             lits = tuple(sorted(line.literals, key=lambda l: l.var))
-            tree = clause_protocol(Clause(lits), part, side_cap)
+            tree = clause_protocol(Clause(lits), part)
         else:
             tree = constant_tree(part, 0)
         out.append(CcLine(table, tree, axiom=line.axiom, premises=line.premises))
@@ -258,21 +246,16 @@ def cc_lines_from_resolution(
 
 
 def cc_lines_from_cp_proof(
-    formula: CnfFormula,
-    part: VariablePartition,
-    proof: CpProof,
-    side_cap: int = DEFAULT_SIDE_CAP,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
+    formula: CnfFormula, part: VariablePartition, proof: CpProof
 ) -> tuple[CcLine, ...]:
     """Clause axioms first, then one line per proof step, stopping at the
     first refutation terminal (later steps cannot contribute).
 
     Hypothesis steps point back at the matching clause axiom, division at its
     source twice, boolean axioms (constant-1 tables) at the first line twice;
-    every mapping is a sound two-premise step.
+    every mapping is a sound two-premise step. The trees come from
+    ``cp_lines_to_protocols``, so a cap error names its proof line.
     """
-    from .cpproof import is_refutation_terminal
-
     if len(proof.system) != formula.m:
         raise ValueError("system size differs from the clause count")
     for i, clause in enumerate(formula.clauses, start=1):
@@ -287,15 +270,16 @@ def cc_lines_from_cp_proof(
     lines = [
         CcLine(
             SemanticLine.from_clause(clause, part),
-            clause_protocol(clause, part, side_cap),
+            clause_protocol(clause, part),
             axiom=i + 1,
         )
         for i, clause in enumerate(formula.clauses)
     ]
     m = formula.m
-    for line in proof.lines[: terminal + 1]:
+    steps = proof.lines[: terminal + 1]
+    trees = cp_lines_to_protocols(CpProof(proof.system, steps), part)
+    for line, tree in zip(steps, trees):
         table = SemanticLine.from_inequality(line.ineq, part)
-        tree = inequality_protocol(line.ineq, part, side_cap, depth_cap)
         just = line.justification
         if isinstance(just, Hypothesis):
             premises = (just.row - 1, just.row - 1)
@@ -392,7 +376,6 @@ def compile_cc_refutation(
     lines: Sequence[CcLine],
     formula: CnfFormula,
     part: VariablePartition,
-    side_cap: int = DEFAULT_SIDE_CAP,
     record_nodes: bool = False,
 ) -> CompileResult:
     """Compile a protocol refutation into a monotone circuit separating the
@@ -402,7 +385,7 @@ def compile_cc_refutation(
     derived line is entailed by its two premises, every tree computes its
     line, and the final line is constant 0 with a depth-0 protocol.
     """
-    _check_side_cap(part, side_cap)
+    check_side_cap(part)
     _validate_refutation(lines, formula, part)
 
     masks_per_line: list[dict[str, tuple[int, int]]] = []
@@ -532,15 +515,12 @@ class SeparationReport:
 
 
 def verify_separation(
-    circuit: MonotoneCircuit,
-    formula: CnfFormula,
-    part: VariablePartition,
-    side_cap: int = DEFAULT_SIDE_CAP,
+    circuit: MonotoneCircuit, formula: CnfFormula, part: VariablePartition
 ) -> SeparationReport:
     """Check output 1 on every U(x) and 0 on every V(y); report a witness
     index for the first failure of each kind.
     """
-    val_u, val_v = side_values(circuit, formula, part, side_cap)
+    val_u, val_v = side_values(circuit, formula, part)
     return _separation_report(val_u, val_v, circuit.output, part)
 
 
@@ -604,7 +584,6 @@ def extract_cc2_refutation(
     circuit: MonotoneCircuit,
     formula: CnfFormula,
     part: VariablePartition,
-    side_cap: int = DEFAULT_SIDE_CAP,
     require_separation: bool = True,
 ) -> ExtractedRefutation:
     """Read a refutation back out of a separating circuit.
@@ -618,7 +597,7 @@ def extract_cc2_refutation(
     With ``require_separation=False`` a non-separating circuit is processed
     anyway and the report flags the non-constant root line.
     """
-    val_u, val_v = side_values(circuit, formula, part, side_cap)
+    val_u, val_v = side_values(circuit, formula, part)
     if require_separation:
         sep = _separation_report(val_u, val_v, circuit.output, part)
         if not sep.passed:

@@ -43,6 +43,16 @@ def _load_formula(path: str) -> CnfFormula:
     return parse_dimacs(Path(path).read_text())
 
 
+def _fraction(text: str) -> Fraction:
+    """Parse a fraction such as ``1/4``; a malformed one or a zero
+    denominator raises ``ValueError``.
+    """
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"fraction {text!r} has a zero denominator") from None
+
+
 def parse_partition_spec(
     tokens: list[str], formula: CnfFormula, seed: int
 ) -> tuple[VariablePartition, dict]:
@@ -55,7 +65,7 @@ def parse_partition_spec(
         return part, {"mode": "alternating"}
     if joined.startswith("search"):
         pieces = joined.split(":")
-        epsilon = Fraction(pieces[1]) if len(pieces) > 1 else Fraction(1, 4)
+        epsilon = _fraction(pieces[1]) if len(pieces) > 1 else Fraction(1, 4)
         trials = int(pieces[2]) if len(pieces) > 2 else 1000
         report = randomcnf.heavy_partition_search(
             formula, epsilon, max_trials=trials, seed=seed
@@ -242,7 +252,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         config |= {"epsilon": args.epsilon, "s_max": args.s_max, "trials": args.trials}
         results = randomcnf.expansion_report(
             formula,
-            Fraction(args.epsilon),
+            _fraction(args.epsilon),
             args.s_max,
             trials=args.trials,
             seed=args.seed,
@@ -258,7 +268,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         formula = _sampled_formula(args, params)
         config |= {"epsilon": args.epsilon, "trials": args.trials}
         results = randomcnf.heavy_partition_search(
-            formula, Fraction(args.epsilon), max_trials=args.trials, seed=args.seed
+            formula, _fraction(args.epsilon), max_trials=args.trials, seed=args.seed
         ).to_dict()
     elif args.stat == "heavy-sat":
         formula = _sampled_formula(args, params)
@@ -274,7 +284,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             formula,
             part,
             args.side,
-            Fraction(args.epsilon),
+            _fraction(args.epsilon),
             mode=args.mode,
             seed=args.seed,
             trials=args.trials,

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import CapExceededError, DimacsError, NoViolationError, ScopeError
 from .linear import LinearInequality
 
-DEFAULT_SOLVER_CAP = 24
+SOLVER_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -385,11 +385,7 @@ def serialize_dimacs(formula: CnfFormula) -> str:
 LogLine = tuple[frozenset[int], tuple[int, int] | None, int | None]
 
 
-def dpll(
-    formula: CnfFormula,
-    cap: int = DEFAULT_SOLVER_CAP,
-    log: list[LogLine] | None = None,
-) -> Assignment | None:
+def dpll(formula: CnfFormula, log: list[LogLine] | None = None) -> Assignment | None:
     """Deterministic DPLL with unit propagation over clause counters.
 
     Propagation works in rounds: the lowest-index falsified clause is a
@@ -403,8 +399,8 @@ def dpll(
     each clause at most once; an unsatisfiable formula's log ends in the
     empty clause.
     """
-    if formula.n > cap:
-        raise CapExceededError(f"n={formula.n} exceeds solver cap {cap}")
+    if formula.n > SOLVER_CAP:
+        raise CapExceededError(f"n={formula.n} exceeds solver cap {SOLVER_CAP}")
     n, m = formula.n, formula.m
     clause_lits = [c.signed() for c in formula.clauses]
     occ: dict[int, list[int]] = {}  # literal -> its clauses, in clause order
@@ -522,10 +518,8 @@ def dpll(
     return outcome if isinstance(outcome, Assignment) else None
 
 
-def brute_force_sat(
-    formula: CnfFormula, cap: int = DEFAULT_SOLVER_CAP
-) -> Assignment | None:
+def brute_force_sat(formula: CnfFormula) -> Assignment | None:
     """The lexicographically least satisfying assignment (see ``dpll``), or
     None when the formula is unsatisfiable.
     """
-    return dpll(formula, cap)
+    return dpll(formula)

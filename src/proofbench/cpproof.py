@@ -7,22 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .cnf import (
-    CnfFormula,
-    DEFAULT_SOLVER_CAP,
-    Literal,
-    LogLine,
-    VariablePartition,
-    dpll,
-)
+from .cnf import CnfFormula, Literal, LogLine, VariablePartition, dpll
 from .errors import CapExceededError, ProofTextError, SatisfiableError
 from .linear import LinearInequality
-from .protocol import (
-    DEFAULT_DEPTH_CAP,
-    DEFAULT_SIDE_CAP,
-    ProtocolTree,
-    inequality_protocol,
-)
+from .protocol import ProtocolTree, inequality_protocol
 
 BOOL_AXIOM_LO = "lo"  # x_j >= 0
 BOOL_AXIOM_HI = "hi"  # -x_j >= -1
@@ -191,16 +179,13 @@ def default_weight_bound(n: int) -> int:
 
 
 def cp_lines_to_protocols(
-    proof: CpProof,
-    part: VariablePartition,
-    side_cap: int = DEFAULT_SIDE_CAP,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
+    proof: CpProof, part: VariablePartition
 ) -> tuple[ProtocolTree, ...]:
     """One sum-announcing protocol per proof line, in line order."""
     trees = []
     for i, line in enumerate(proof.lines, start=1):
         try:
-            trees.append(inequality_protocol(line.ineq, part, side_cap, depth_cap))
+            trees.append(inequality_protocol(line.ineq, part))
         except CapExceededError as exc:
             raise CapExceededError(f"line {i}: {exc}")
     return tuple(trees)
@@ -295,9 +280,7 @@ class ResolutionRefutation:
         return len(self.lines)
 
 
-def resolution_refutation_from_dpll(
-    formula: CnfFormula, cap: int = DEFAULT_SOLVER_CAP
-) -> ResolutionRefutation:
+def resolution_refutation_from_dpll(formula: CnfFormula) -> ResolutionRefutation:
     """Run DPLL with unit propagation and log every conflict resolution.
 
     The result starts with the formula's clauses (one axiom line each, in
@@ -306,7 +289,7 @@ def resolution_refutation_from_dpll(
     the formula is satisfiable.
     """
     log: list[LogLine] = []
-    witness = dpll(formula, cap, log)
+    witness = dpll(formula, log)
     if witness is not None:
         raise SatisfiableError("formula is satisfiable", witness)
     if log[-1][0]:

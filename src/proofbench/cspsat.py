@@ -20,8 +20,8 @@ from .bitops import full_mask
 from .cnf import Assignment, CnfFormula, VariablePartition, eval_clause
 from .errors import CapExceededError, InstanceTextError, ScopeError
 
-DEFAULT_EVAL_CAP = 20
-DEFAULT_EXACT_R_CAP = 3
+EVAL_CAP = 20
+EXACT_R_CAP = 3
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,6 @@ class ConstraintGraph:
     @property
     def m(self) -> int:
         return len(self.constraints)
-
-    @property
-    def degree(self) -> int:
-        return max((len(vs) for vs in self.constraints), default=0)
 
     @cached_property
     def block_sizes(self) -> tuple[int, ...]:
@@ -172,17 +168,15 @@ def rejecting_instance(
     return CspSatInstance(graph, bits)
 
 
-def csp_sat_eval(
-    graph: ConstraintGraph, inst: CspSatInstance, cap: int = DEFAULT_EVAL_CAP
-) -> bool:
+def csp_sat_eval(graph: ConstraintGraph, inst: CspSatInstance) -> bool:
     """Backtracking search for an alphabet assignment whose restriction hits a
     1-entry in every block.
     """
     if inst.graph != graph:
         raise ValueError("instance was built for a different topology")
     k = len(graph.xvars)
-    if k > cap:
-        raise CapExceededError(f"{k} CSP variables exceed evaluation cap {cap}")
+    if k > EVAL_CAP:
+        raise CapExceededError(f"{k} CSP variables exceed evaluation cap {EVAL_CAP}")
     var_pos = {v: p for p, v in enumerate(graph.xvars)}
     ready: list[list[int]] = [[] for _ in range(k + 1)]
     for ci, vs in enumerate(graph.constraints):
@@ -221,14 +215,11 @@ def all_x_covered(graph: ConstraintGraph) -> bool:
 
 
 def rejecting_images_distinct(
-    graph: ConstraintGraph,
-    formula: CnfFormula,
-    part: VariablePartition,
-    cap: int = DEFAULT_EVAL_CAP,
+    graph: ConstraintGraph, formula: CnfFormula, part: VariablePartition
 ) -> bool:
     """Whether y -> rejecting instance is injective, by enumeration."""
-    if part.n2 > cap:
-        raise CapExceededError(f"2^{part.n2} rejecting instances exceed cap {cap}")
+    if part.n2 > EVAL_CAP:
+        raise CapExceededError(f"2^{part.n2} rejecting instances exceed cap {EVAL_CAP}")
     seen = set()
     for y_idx in range(1 << part.n2):
         inst = rejecting_instance(graph, formula, part, part.y_assignment(y_idx))
@@ -256,7 +247,6 @@ def agreement_count(
     mode: str = "exact",
     trials: int | None = None,
     seed: int = 0,
-    exact_r_cap: int = DEFAULT_EXACT_R_CAP,
 ) -> AgreementCount:
     """Exact mode scans every r-subset of positions; sampled mode reports a
     lower bound from random subsets and is labelled as such.
@@ -281,9 +271,9 @@ def agreement_count(
         return sum(1 for v in vectors if v & mask == 0)
 
     if mode == "exact":
-        if r > exact_r_cap:
+        if r > EXACT_R_CAP:
             raise CapExceededError(
-                f"exact agreement counting is capped at r <= {exact_r_cap}"
+                f"exact agreement counting is capped at r <= {EXACT_R_CAP}"
             )
         best = 0
         for combo in itertools.combinations(range(n), r):

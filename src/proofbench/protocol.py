@@ -22,8 +22,8 @@ from .semantics import SemanticLine, falsifying_mask, rectangle_bits
 ALICE = "alice"
 BOB = "bob"
 
-DEFAULT_SIDE_CAP = 12
-DEFAULT_DEPTH_CAP = 16
+SIDE_CAP = 12
+DEPTH_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,11 @@ class RealProtocolRound:
             raise ValueError("referee bit must equal [alice_value >= bob_value]")
 
 
-def _check_side_caps(part: VariablePartition, side_cap: int) -> None:
-    if part.n1 > side_cap or part.n2 > side_cap:
+def check_side_cap(part: VariablePartition) -> None:
+    """Raise ``CapExceededError`` when a side is too large to enumerate."""
+    if part.n1 > SIDE_CAP or part.n2 > SIDE_CAP:
         raise CapExceededError(
-            f"side sizes ({part.n1}, {part.n2}) exceed enumeration cap {side_cap}"
+            f"side sizes ({part.n1}, {part.n2}) exceed enumeration cap {SIDE_CAP}"
         )
 
 
@@ -92,16 +93,14 @@ def constant_tree(part: VariablePartition, bit: int) -> ProtocolTree:
     return ProtocolTree(part, 0, {}, {}, {"": int(bit)})
 
 
-def clause_protocol(
-    clause: Clause, part: VariablePartition, side_cap: int = DEFAULT_SIDE_CAP
-) -> ProtocolTree:
+def clause_protocol(clause: Clause, part: VariablePartition) -> ProtocolTree:
     """Depth-2 tree: Alice sends 0 iff all her literals of the clause are
     falsified, then Bob does the same; output 0 exactly at history "00".
 
     A player with no literals in the clause has those literals vacuously
     falsified and always sends 0.
     """
-    _check_side_caps(part, side_cap)
+    check_side_cap(part)
     alice_false = falsifying_mask(clause.side_literals(part.xset), part, part.xvars)
     bob_false = falsifying_mask(clause.side_literals(part.yset), part, part.yvars)
     alice_pred = full_mask(1 << part.n1) & ~alice_false
@@ -113,10 +112,7 @@ def clause_protocol(
 
 
 def inequality_protocol(
-    ineq: LinearInequality,
-    part: VariablePartition,
-    side_cap: int = DEFAULT_SIDE_CAP,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
+    ineq: LinearInequality, part: VariablePartition
 ) -> ProtocolTree:
     """Alice announces her partial sum in offset binary (w bits, most
     significant first), then one Bob bit decides ``sum >= constant``; that
@@ -125,7 +121,7 @@ def inequality_protocol(
     """
     if ineq.n != part.n:
         raise ValueError("inequality arity does not match the partition")
-    _check_side_caps(part, side_cap)
+    check_side_cap(part)
     asums, bsums = part.partial_sums(ineq.coeffs)
     amin, amax = min(asums), max(asums)
     by_asum = value_masks(asums)
@@ -134,9 +130,9 @@ def inequality_protocol(
         return constant_tree(part, int(amin + bsums[0] >= ineq.constant))
     w = (amax - amin).bit_length() if amax > amin else 0
     depth = w + 1
-    if depth > depth_cap:
+    if depth > DEPTH_CAP:
         raise CapExceededError(
-            f"message width {w}+1 exceeds protocol depth cap {depth_cap}"
+            f"message width {w}+1 exceeds protocol depth cap {DEPTH_CAP}"
         )
     owners: dict[str, str] = {}
     preds: dict[str, int] = {}
@@ -215,14 +211,11 @@ def full_history_masks(tree: ProtocolTree) -> dict[str, tuple[int, int]]:
 
 
 def materialize_rectangle(
-    tree: ProtocolTree,
-    history: str,
-    part: VariablePartition | None = None,
-    side_cap: int = DEFAULT_SIDE_CAP,
+    tree: ProtocolTree, history: str, part: VariablePartition | None = None
 ) -> Rectangle:
     if part is not None and part != tree.part:
         raise ValueError("partition does not match the tree's partition")
-    _check_side_caps(tree.part, side_cap)
+    check_side_cap(tree.part)
     if len(history) > tree.depth:
         raise ValueError("history longer than the tree depth")
     xmask, ymask = history_masks(tree, history)
@@ -246,10 +239,7 @@ def good_from_masks(
 
 
 def good_histories(
-    tree: ProtocolTree,
-    line: SemanticLine,
-    part: VariablePartition | None = None,
-    side_cap: int = DEFAULT_SIDE_CAP,
+    tree: ProtocolTree, line: SemanticLine, part: VariablePartition | None = None
 ) -> list[str]:
     """Full histories whose rectangle is 0-monochromatic for the line.
 
@@ -257,7 +247,7 @@ def good_histories(
     """
     if part is not None and part != tree.part:
         raise ValueError("partition does not match the tree's partition")
-    _check_side_caps(tree.part, side_cap)
+    check_side_cap(tree.part)
     if (line.n1, line.n2) != (tree.n1, tree.n2):
         raise ValueError("line dimensions do not match the tree")
     return good_from_masks(full_history_masks(tree), line)

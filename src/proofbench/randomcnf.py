@@ -18,14 +18,22 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .cnf import (
+    SOLVER_CAP,
     Clause,
     CnfFormula,
-    DEFAULT_SOLVER_CAP,
     Literal,
     VariablePartition,
     brute_force_sat,
 )
 from .errors import CapExceededError
+
+# Exact profiles and exact heavy-sat enumerate at most 2^EXACT_CAP assignments.
+EXACT_CAP = 20
+# The expansion report exhausts clause-set sizes up to EXPANSION_EXACT_UP_TO
+# (sizes 1 and 2 each have their own branch), each in at most
+# EXPANSION_BUDGET subsets, and samples larger sizes.
+EXPANSION_EXACT_UP_TO = 2
+EXPANSION_BUDGET = 20_000_000
 
 
 def derive_seed(master: int, tag: str, index: int = 0) -> int:
@@ -123,21 +131,20 @@ def unsat_rate(
     params: DistributionParams,
     tensor: bool,
     samples: int,
-    cap: int = DEFAULT_SOLVER_CAP,
 ) -> UnsatRateReport:
     """Fraction of sampled formulas the brute-force oracle refutes."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     total_vars = 2 * params.n if tensor else params.n
-    if total_vars > cap:
-        raise CapExceededError(f"{total_vars} variables exceed solver cap {cap}")
+    if total_vars > SOLVER_CAP:
+        raise CapExceededError(f"{total_vars} variables exceed solver cap {SOLVER_CAP}")
     rows = []
     for i in range(samples):
         sub = DistributionParams(
             params.m, params.n, params.d, derive_seed(params.seed, "unsat-sample", i)
         )
         formula = sample_tensor(sub)[0] if tensor else sample_f(sub)
-        rows.append(UnsatSample(i, sub.seed, brute_force_sat(formula, cap) is None))
+        rows.append(UnsatSample(i, sub.seed, brute_force_sat(formula) is None))
     rate = Fraction(sum(r.unsat for r in rows), samples)
     return UnsatRateReport(params, tensor, tuple(rows), rate)
 
@@ -186,36 +193,18 @@ class ExpansionReport:
 def expansion_regime_max_size(n: int, d: int) -> int:
     return int(n / (math.e * d * d))
 
-def _min_union_exact(var_sets: list[frozenset[int]], size: int) -> int:
-    m = len(var_sets)
-    best = None
-    # Depth-first over index combinations, keeping the running union.
-    def rec(start: int, chosen: int, union: frozenset[int]) -> None:
-        nonlocal best
-        if chosen == size:
-            if best is None or len(union) < best:
-                best = len(union)
-            return
-        for i in range(start, m - (size - chosen) + 1):
-            rec(i + 1, chosen + 1, union | var_sets[i])
-
-    rec(0, 0, frozenset())
-    return best if best is not None else 0
-
 
 def expansion_report(
     formula: CnfFormula,
     epsilon: Fraction,
     s_max: int,
-    exact_up_to: int = 2,
     trials: int = 10_000,
     seed: int = 0,
-    exact_budget: int = 20_000_000,
     allow_beyond_regime: bool = False,
 ) -> ExpansionReport:
     """Minimum variable coverage of clause subsets of each size s <= s_max,
-    against the threshold (1 - epsilon) * d * s. Small sizes are exhausted,
-    larger ones sampled.
+    against the threshold (1 - epsilon) * d * s. Sizes up to
+    ``EXPANSION_EXACT_UP_TO`` are exhausted, larger ones sampled.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
@@ -234,26 +223,24 @@ def expansion_report(
         )
     var_sets = [c.vars for c in formula.clauses]
     m = len(var_sets)
-    if trials < 1 and min(s_max, m) > exact_up_to:
+    if trials < 1 and min(s_max, m) > EXPANSION_EXACT_UP_TO:
         raise ValueError("sampled sizes need trials to be at least 1")
     rows = []
     for s in range(1, min(s_max, m) + 1):
         threshold = (1 - epsilon) * d * s
-        if s <= exact_up_to:
-            if math.comb(m, s) > exact_budget:
+        if s <= EXPANSION_EXACT_UP_TO:
+            if math.comb(m, s) > EXPANSION_BUDGET:
                 raise CapExceededError(
                     f"exact mode for size {s} needs {math.comb(m, s)} subsets"
                 )
             if s == 1:
                 min_vars = min(len(vs) for vs in var_sets)
-            elif s == 2:
+            else:
                 min_vars = min(
                     len(var_sets[i] | var_sets[j])
                     for i in range(m)
                     for j in range(i + 1, m)
                 )
-            else:
-                min_vars = _min_union_exact(var_sets, s)
             mode, used = "exact", None
         else:
             rng = random.Random(derive_seed(seed, "expansion", s))
@@ -322,7 +309,6 @@ def profile_distinctness(
     mode: str = "exact",
     seed: int = 0,
     trials: int = 10_000,
-    cap: int = 20,
 ) -> ProfileReport:
     """Whether distinct assignments falsify distinct clause sets.
 
@@ -335,8 +321,8 @@ def profile_distinctness(
     position = {v: v - 1 for v in range(1, n + 1)}
     masks = [_falsifying_pattern(c.literals, position) for c in formula.clauses]
     if mode == "exact":
-        if n > cap:
-            raise CapExceededError(f"exact profiles need n <= {cap}, got {n}")
+        if n > EXACT_CAP:
+            raise CapExceededError(f"exact profiles need n <= {EXACT_CAP}, got {n}")
         profiles: list[list[int]] = [[] for _ in range(1 << n)]
         all_vars = (1 << n) - 1
         for i, (mask, pattern) in enumerate(masks):
@@ -460,12 +446,11 @@ def heavy_partition_search(
     epsilon: Fraction,
     max_trials: int = 1000,
     seed: int = 0,
-    balance_slack: float | None = None,
 ) -> PartitionReport:
     """Fair-coin partitions until one keeps both heavy counts at or below
     m', the max heavy incidence at or below m' d / n, and the sides within
-    the balance slack (default 2 * sqrt(n ln n)) of n/2. Returns the best
-    trial, flagged unaccepted, if none qualifies.
+    the balance slack 2 * sqrt(n ln n) of n/2. Returns the best trial,
+    flagged unaccepted, if none qualifies.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
@@ -477,8 +462,7 @@ def heavy_partition_search(
         raise ValueError(f"a partition with two nonempty sides needs n >= 2, got {n}")
     m_prime = heavy_clause_bound(formula.m, d, epsilon)
     w_bound = m_prime * d / n
-    if balance_slack is None:
-        balance_slack = 2 * math.sqrt(n * math.log(n)) if n > 1 else 1.0
+    balance_slack = 2 * math.sqrt(n * math.log(n))
     rng = random.Random(derive_seed(seed, "partition"))
     best: tuple[tuple[int, int, int], VariablePartition, int] | None = None
     for trial in range(1, max_trials + 1):
@@ -539,7 +523,6 @@ def heavy_sat_fraction(
     mode: str = "exact",
     seed: int = 0,
     trials: int = 10_000,
-    cap: int = 20,
 ) -> HeavySatReport:
     """Fraction of side assignments whose literals satisfy every heavy clause
     of that side. The report carries exp(-n / (50 d)) as the existential
@@ -565,8 +548,10 @@ def heavy_sat_fraction(
     lll_reference = math.exp(-formula.n / (50 * d)) if d else 0.0
     k = len(side_vars)
     if mode == "exact":
-        if k > cap:
-            raise CapExceededError(f"exact mode needs side size <= {cap}, got {k}")
+        if k > EXACT_CAP:
+            raise CapExceededError(
+                f"exact mode needs side size <= {EXACT_CAP}, got {k}"
+            )
         good = sum(
             1
             for a in range(1 << k)

@@ -15,7 +15,7 @@ from .cnf import Assignment, Clause, Literal, VariablePartition
 from .errors import CapExceededError
 from .linear import LinearInequality
 
-DEFAULT_TABLE_CAP = 24
+TABLE_CAP = 24
 
 
 def falsifying_mask(
@@ -44,9 +44,11 @@ def rectangle_bits(xmask: int, ymask: int, n2: int) -> int:
     return ymask * spread(xmask, 1 << n2)
 
 
-def _check_cap(part: VariablePartition, cap: int) -> None:
-    if part.n > cap:
-        raise CapExceededError(f"truth table over {part.n} variables exceeds cap {cap}")
+def _check_cap(part: VariablePartition) -> None:
+    if part.n > TABLE_CAP:
+        raise CapExceededError(
+            f"truth table over {part.n} variables exceeds cap {TABLE_CAP}"
+        )
 
 
 @dataclass(frozen=True)
@@ -70,24 +72,19 @@ class SemanticLine:
         return self.bits == (full_mask(self.size) if bit else 0)
 
     @classmethod
-    def constant(
-        cls, part: VariablePartition, bit: int, cap: int = DEFAULT_TABLE_CAP
-    ) -> "SemanticLine":
-        _check_cap(part, cap)
+    def constant(cls, part: VariablePartition, bit: int) -> "SemanticLine":
+        _check_cap(part)
         bits = full_mask(1 << part.n) if bit else 0
         return cls(part.n1, part.n2, bits)
 
     @classmethod
     def from_literals(
-        cls,
-        literals: Iterable[Literal],
-        part: VariablePartition,
-        cap: int = DEFAULT_TABLE_CAP,
+        cls, literals: Iterable[Literal], part: VariablePartition
     ) -> "SemanticLine":
         """Table of the clause with the given literals; an empty collection
         yields the constant-0 table (the empty clause).
         """
-        _check_cap(part, cap)
+        _check_cap(part)
         lits = tuple(literals)
         xf = falsifying_mask(
             tuple(l for l in lits if l.var in part.xset), part, part.xvars
@@ -99,19 +96,14 @@ class SemanticLine:
         return cls(part.n1, part.n2, bits)
 
     @classmethod
-    def from_clause(
-        cls, clause: Clause, part: VariablePartition, cap: int = DEFAULT_TABLE_CAP
-    ) -> "SemanticLine":
-        return cls.from_literals(clause.literals, part, cap)
+    def from_clause(cls, clause: Clause, part: VariablePartition) -> "SemanticLine":
+        return cls.from_literals(clause.literals, part)
 
     @classmethod
     def from_inequality(
-        cls,
-        ineq: LinearInequality,
-        part: VariablePartition,
-        cap: int = DEFAULT_TABLE_CAP,
+        cls, ineq: LinearInequality, part: VariablePartition
     ) -> "SemanticLine":
-        _check_cap(part, cap)
+        _check_cap(part)
         if ineq.n != part.n:
             raise ValueError("inequality arity does not match the partition")
         asums, bsums = part.partial_sums(ineq.coeffs)
@@ -124,13 +116,10 @@ class SemanticLine:
 
     @classmethod
     def from_function(
-        cls,
-        part: VariablePartition,
-        fn: Callable[[Assignment], bool],
-        cap: int = DEFAULT_TABLE_CAP,
+        cls, part: VariablePartition, fn: Callable[[Assignment], bool]
     ) -> "SemanticLine":
         """Tabulate an arbitrary predicate of the joint assignment."""
-        _check_cap(part, cap)
+        _check_cap(part)
         bits = 0
         n2 = part.n2
         for x_idx in range(1 << part.n1):

@@ -483,7 +483,6 @@ def test_criterion_09_expansion():
         formula,
         Fraction(1, 2),
         s_max=10,
-        exact_up_to=2,
         trials=10_000,
         seed=derive_seed(MASTER_SEED, "criterion-9-subsets"),
     )

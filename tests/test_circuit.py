@@ -452,15 +452,13 @@ class TestSideValues:
 
 
     def test_side_cap(self):
-        f = parse_dimacs("p cnf 4 1\n1 2 3 4 0\n")
-        part = VariablePartition.alternating(4)
+        f = parse_dimacs("p cnf 26 1\n1 2 0\n")
+        part = VariablePartition.alternating(26)  # 13 variables a side
         circuit = MonotoneCircuit((ConstGate(0),), 0)
         for run in (
-            lambda: side_values(circuit, f, part, side_cap=1),
-            lambda: verify_separation(circuit, f, part, side_cap=1),
-            lambda: extract_cc2_refutation(
-                circuit, f, part, side_cap=1, require_separation=False
-            ),
+            lambda: side_values(circuit, f, part),
+            lambda: verify_separation(circuit, f, part),
+            lambda: extract_cc2_refutation(circuit, f, part, require_separation=False),
         ):
             with pytest.raises(CapExceededError):
                 run()

@@ -142,6 +142,29 @@ class TestCompileChain:
             == 0
         )
 
+    def test_compile_cap_error_names_proof_line(self, contra, tmp_path, capsys):
+        # lines 3.. double x1 >= 1 up to 2^17 x1 >= 2^17; line 17 is the
+        # first whose sum, 2^15, needs a 16-bit message plus Bob's bit
+        cnf, _ = contra
+        lines = ["1: 1 >= 1 ; hyp 1", "2: -1 >= 0 ; hyp 2"]
+        for k in range(1, 18):
+            prev = 1 if k == 1 else k + 1
+            lines.append(f"{k + 2}: {1 << k} >= {1 << k} ; add {prev} {prev}")
+        lines += [f"20: 1 >= 1 ; div 19 {1 << 17}", "21: 0 >= 1 ; add 20 2"]
+        proof = tmp_path / "doubling.cpp"
+        proof.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "r.json"
+        code = main(
+            ["compile", "--cnf", str(cnf), "--proof", str(proof),
+             "--out", str(tmp_path / "c.mct"), "--report", str(report)]
+        )
+        assert code == 2
+        assert not report.exists()
+        assert capsys.readouterr().err == (
+            "proofbench: error: line 17: message width 16+1 exceeds protocol "
+            "depth cap 16\n"
+        )
+
     def test_verify_sep_failure_exits_one(self, complete2, tmp_path):
         circuit = tmp_path / "bad.mct"
         circuit.write_text("g0 = const0\noutput g0\n")
@@ -286,8 +309,13 @@ class TestStats:
             (["--stat", "heavy-sat", "--epsilon", "2"], "strictly between"),
             (["--stat", "heavy-sat", "--epsilon", "0"], "strictly between"),
             (["--stat", "heavy-sat", "--epsilon", "-1"], "strictly between"),
+            (["--stat", "expansion", "--epsilon", "1/0"], "zero denominator"),
+            (["--stat", "heavy-sat", "--epsilon", "1/0"], "zero denominator"),
+            (["--stat", "heavy-partition", "--epsilon", "1/0"], "zero denominator"),
         ],
-        ids=["s-max-0", "s-max-neg", "epsilon-2", "epsilon-0", "epsilon-neg"],
+        ids=["s-max-0", "s-max-neg", "epsilon-2", "epsilon-0", "epsilon-neg",
+             "expansion-epsilon-1/0", "heavy-sat-epsilon-1/0",
+             "heavy-partition-epsilon-1/0"],
     )
     def test_nothing_to_report_exits_2(self, tmp_path, capsys, args, message):
         report = tmp_path / "stats.json"
@@ -357,6 +385,37 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("proofbench: error:") and message in err
 
+    def test_search_epsilon_zero_denominator_exits_2(
+        self, complete2, tmp_path, capsys
+    ):
+        report = tmp_path / "r.json"
+        code = main(
+            ["compile", "--cnf", str(complete2), "--out", str(tmp_path / "c.mct"),
+             "--partition", "search:1/0", "--report", str(report)]
+        )
+        assert code == 2
+        assert not report.exists()
+        assert capsys.readouterr().err == (
+            "proofbench: error: fraction '1/0' has a zero denominator\n"
+        )
+
+    @pytest.mark.parametrize("command", ["verify-sep", "extract"])
+    def test_side_cap_exits_2(self, tmp_path, capsys, command):
+        cnf = tmp_path / "wide.cnf"
+        cnf.write_text("p cnf 26 1\n1 2 0\n")
+        circuit = tmp_path / "c.mct"
+        circuit.write_text("g0 = const0\noutput g0\n")
+        report = tmp_path / "r.json"
+        code = main(
+            [command, "--cnf", str(cnf), "--circuit", str(circuit),
+             "--report", str(report)]
+        )
+        assert code == 2
+        assert not report.exists()
+        assert capsys.readouterr().err == (
+            "proofbench: error: side sizes (13, 13) exceed enumeration cap 12\n"
+        )
+
 
 # --- fuzzing the whole command line ---------------------------------------------
 
@@ -391,7 +450,7 @@ FUZZ_PROOFS = {
 FUZZ_PARTITIONS = [
     ["alternating"], ["x:1", "y:2"], ["x:2", "y:1,3"], ["x:1,2,3", "y:"],
     ["x:", "y:1"], ["search"], ["search:1/4:8"], ["search:2"], ["search:x"],
-    ["search:1/2:0"], ["q:1"], ["x:1", "y:1"], ["x:0"], ["x:a"],
+    ["search:1/2:0"], ["search:1/0"], ["q:1"], ["x:1", "y:1"], ["x:0"], ["x:a"],
 ]
 
 
@@ -469,7 +528,7 @@ def fuzz_argv(draw, root):
         if draw(st.booleans()):
             argv += ["--cnf", pick(FUZZ_CNFS, "cnf", "unsat3")]
         argv += option("--samples", _num(1, 3, 0, -1))
-        epsilons = ["1/2", "1/4", "2", "0", "-1", "x"]
+        epsilons = ["1/2", "1/4", "2", "0", "-1", "x", "1/0"]
         argv += option("--epsilon", st.sampled_from(epsilons))
         argv += ["--s-max", draw(_num(1, 3, 0, -2))]
         argv += option("--mode", st.sampled_from(["exact", "sampled"]))

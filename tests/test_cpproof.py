@@ -462,13 +462,12 @@ def test_cp_lines_to_protocols_depth_cap():
 
     from proofbench.errors import CapExceededError
 
-    system = (LinearInequality((200, 200), 3),)
-    proof = CpProof(
-        system, (ProofLine(LinearInequality((200, 200), 3), Hypothesis(1)),)
-    )
+    # Alice's sum spans 2^16, a 17-bit message plus Bob's bit
+    ineq = LinearInequality((1 << 16, 1 << 16), 3)
+    proof = CpProof((ineq,), (ProofLine(ineq, Hypothesis(1)),))
     part = VariablePartition((1,), (2,))
     with _pytest.raises(CapExceededError, match="line 1"):
-        cp_lines_to_protocols(proof, part, depth_cap=4)
+        cp_lines_to_protocols(proof, part)
 
 
 def test_entailed_by_premise_helper():

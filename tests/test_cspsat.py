@@ -216,7 +216,7 @@ class TestEval:
         g = ConstraintGraph(tuple(range(1, 25)), ((1,),))
         inst = CspSatInstance(g, 3)
         with pytest.raises(CapExceededError):
-            csp_sat_eval(g, inst, cap=20)
+            csp_sat_eval(g, inst)
 
 
 class TestInjectivityDiagnostics:
@@ -302,7 +302,7 @@ class TestAgreementCount:
 
     def test_sampled_is_flagged_lower_bound(self):
         u, _ = self._reference_sets()
-        exact = agreement_count(u, 2, 1, mode="exact", exact_r_cap=3)
+        exact = agreement_count(u, 2, 1, mode="exact")
         sampled = agreement_count(u, 2, 1, mode="sampled", trials=50, seed=4)
         assert sampled.mode == "sampled" and sampled.trials == 50
         assert sampled.value <= exact.value

@@ -108,9 +108,10 @@ class TestInequalityProtocol:
 
     def test_depth_cap(self):
         part = VariablePartition.alternating(8)
-        ineq = LinearInequality(tuple([100] * 8), 5)
-        with pytest.raises(CapExceededError):
-            inequality_protocol(ineq, part, depth_cap=4)
+        # Alice's four coefficients of 2^14 span 2^16: 17 bits plus Bob's
+        ineq = LinearInequality(tuple([1 << 14] * 8), 5)
+        with pytest.raises(CapExceededError, match="depth cap 16"):
+            inequality_protocol(ineq, part)
 
 
 class TestRunSemantics:

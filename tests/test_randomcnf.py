@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -115,35 +116,36 @@ class TestExpansion:
         assert row.min_vars == 3 and row.threshold == 3 and row.passed
 
     def test_exact_matches_full_sampling(self):
-        # with few clauses, heavy sampling covers every pair
+        # with few clauses, heavy sampling covers every triple (20 among 6
+        # clauses), so the sampled size 3 finds the exhaustive minimum
         f = sample_f(DistributionParams(6, 10, 3, 17))
-        exact = expansion_report(
-            f, Fraction(1, 2), 2, exact_up_to=2, allow_beyond_regime=True
-        )
-        sampled = expansion_report(
-            f,
-            Fraction(1, 2),
-            2,
-            exact_up_to=1,
-            trials=4000,
-            seed=8,
-            allow_beyond_regime=True,
-        )
-        assert exact.rows[1].min_vars == sampled.rows[1].min_vars
-
-    def test_exact_three_subsets(self):
-        f = sample_f(DistributionParams(7, 12, 3, 23))
         report = expansion_report(
-            f, Fraction(1, 2), 3, exact_up_to=3, allow_beyond_regime=True
+            f, Fraction(1, 2), 3, trials=4000, seed=8, allow_beyond_regime=True
         )
+        assert [r.mode for r in report.rows] == ["exact", "exact", "sampled"]
         sets = [c.vars for c in f.clauses]
         best = min(
             len(sets[i] | sets[j] | sets[k])
-            for i in range(7)
-            for j in range(i + 1, 7)
-            for k in range(j + 1, 7)
+            for i in range(6)
+            for j in range(i + 1, 6)
+            for k in range(j + 1, 6)
         )
         assert report.rows[2].min_vars == best
+
+    def test_exact_three_subsets(self):
+        # sizes 1 and 2 are exhausted; with 35 triples among 7 clauses,
+        # 4000 samples of size 3 cover every triple
+        f = sample_f(DistributionParams(7, 12, 3, 23))
+        report = expansion_report(
+            f, Fraction(1, 2), 3, trials=4000, seed=8, allow_beyond_regime=True
+        )
+        sets = [c.vars for c in f.clauses]
+        for row in report.rows:
+            best = min(
+                len(frozenset().union(*combo))
+                for combo in itertools.combinations(sets, row.size)
+            )
+            assert row.min_vars == best
 
     def test_regime_guard(self):
         f = sample_f(DistributionParams(10, 8, 3, 1))
@@ -154,8 +156,7 @@ class TestExpansion:
     def test_modes_recorded(self):
         f = sample_f(DistributionParams(30, 40, 3, 2))
         report = expansion_report(
-            f, Fraction(1, 2), 3, exact_up_to=2, trials=200, seed=1,
-            allow_beyond_regime=True,
+            f, Fraction(1, 2), 3, trials=200, seed=1, allow_beyond_regime=True
         )
         assert [r.mode for r in report.rows] == ["exact", "exact", "sampled"]
         assert report.rows[2].trials == 200
@@ -164,8 +165,7 @@ class TestExpansion:
         f = sample_f(DistributionParams(30, 40, 3, 2))
         with pytest.raises(ValueError, match="trials"):
             expansion_report(
-                f, Fraction(1, 2), 3, exact_up_to=2, trials=0,
-                allow_beyond_regime=True,
+                f, Fraction(1, 2), 3, trials=0, allow_beyond_regime=True
             )
         # trials are unused when every size is exhausted
         exact = expansion_report(
@@ -227,7 +227,7 @@ class TestProfiles:
     def test_cap(self):
         f = sample_f(DistributionParams(4, 22, 2, 0))
         with pytest.raises(CapExceededError):
-            profile_distinctness(f, cap=20)
+            profile_distinctness(f)
 
     def test_sampled_zero_trials(self):
         # zero sampled pairs must not report the profiles distinct
@@ -294,10 +294,11 @@ class TestHeavyPartitionSearch:
         assert (z_x, z_y, w_max) == (report.z_x, report.z_y, report.w_max)
 
     def test_unacceptable_bounds_reported(self):
-        # an odd variable count with zero balance slack rejects every trial
-        f = sample_f(DistributionParams(20, 5, 2, 4))
+        # at epsilon = 9/10 one variable on a side makes a clause heavy there,
+        # so the heavy counts stay far above m' (about 4.4) in every trial
+        f = sample_f(DistributionParams(20, 8, 6, 4))
         report = heavy_partition_search(
-            f, Fraction(1, 4), max_trials=16, seed=2, balance_slack=0.0
+            f, Fraction(9, 10), max_trials=16, seed=2
         )
         assert not report.accepted
         assert report.trials_used == 16
