@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bitops import full_mask
-from .cnf import Clause, CnfFormula, VariablePartition, clause_to_inequality
+from .cnf import Clause, CnfFormula, Literal, VariablePartition, clause_to_inequality
 from .circuit_text import parse_circuit, serialize_circuit
 from .cpproof import (
     Addition,
@@ -39,7 +39,7 @@ from .cpproof import (
     is_refutation_terminal,
 )
 from .cspsat import CspSatInstance
-from .errors import ScopeError, SoundnessError
+from .errors import SoundnessError
 from .gates import AndGate, ConstGate, Gate, InputGate, MonotoneCircuit, OrGate
 from .protocol import (
     ALICE,
@@ -49,9 +49,13 @@ from .protocol import (
     clause_protocol,
     constant_tree,
     full_history_masks,
-    good_from_masks,
 )
-from .semantics import SemanticLine, check_semantic_step, rectangle_bits
+from .semantics import (
+    SemanticLine,
+    check_semantic_step,
+    falsifying_mask,
+    rectangle_bits,
+)
 
 __all__ = [
     "CcLine",
@@ -140,9 +144,6 @@ def _check_inputs(
     circuit: MonotoneCircuit, formula: CnfFormula, part: VariablePartition
 ) -> None:
     """Every input gate must name an entry of the truth-table layout."""
-    used = max((v for c in formula.clauses for v in c.vars), default=0)
-    if used > part.n:
-        raise ScopeError(f"clause variable {used} is outside the partition")
     m = formula.m
     for g, gate in enumerate(circuit.gates):
         if not isinstance(gate, InputGate):
@@ -170,32 +171,29 @@ def side_values(
 
     Bit x of ``val_u[g]`` is ``eval_gates(circuit, U(x))[g]`` and bit y of
     ``val_v[g]`` is ``eval_gates(circuit, V(y))[g]``, without building any
-    instance. Input gate (i, alpha) accepts U(x) iff x restricted to clause
-    i's X-variables is alpha, and accepts V(y) iff alpha satisfies one of
-    clause i's X-literals or y one of its Y-literals. Raises ``ValueError``
-    for an input gate outside the layout before evaluating anything.
+    instance. Input gate (i, alpha) accepts U(x) iff x agrees with alpha on
+    clause i's X-variables in ascending order, a subcube of x, and accepts
+    V(y) iff alpha satisfies one of clause i's X-literals or y one of its
+    Y-literals. Raises ``ScopeError`` for a clause variable outside the
+    partition and ``ValueError`` for an input gate outside the layout, both
+    before evaluating anything.
     """
     check_side_cap(part)
+    clause_masks = [falsifying_mask(c.literals, part) for c in formula.clauses]
     _check_inputs(circuit, formula, part)
     xfull = full_mask(1 << part.n1)
     yfull = full_mask(1 << part.n2)
-    var_masks = part.var_masks
     val_u: list[int] = []
     val_v: list[int] = []
     for gate in circuit.gates:
         if isinstance(gate, InputGate):
-            clause = formula.clauses[gate.constraint - 1]
-            xlits = sorted(clause.side_literals(part.xset), key=lambda l: l.var)
-            vu = xfull
-            for lit, a in zip(xlits, gate.alpha):
-                vu &= var_masks[lit.var] if a else xfull ^ var_masks[lit.var]
-            if any(lit.satisfied_by(a) for lit, a in zip(xlits, gate.alpha)):
-                vv = yfull
-            else:
-                vv = 0
-                for lit in clause.side_literals(part.yset):
-                    ones = var_masks[lit.var]
-                    vv |= yfull ^ ones if lit.negated else ones
+            xvars = sorted(formula.clauses[gate.constraint - 1].vars & part.xset)
+            vu, _ = falsifying_mask(
+                (Literal(v, bool(a)) for v, a in zip(xvars, gate.alpha)), part
+            )
+            # alpha falsifies every X-literal iff its subcube meets xf
+            xf, yf = clause_masks[gate.constraint - 1]
+            vv = yfull ^ yf if vu & xf else yfull
         elif isinstance(gate, ConstGate):
             vu = xfull if gate.bit else 0
             vv = yfull if gate.bit else 0
@@ -388,16 +386,23 @@ def compile_cc_refutation(
     check_side_cap(part)
     _validate_refutation(lines, formula, part)
 
-    masks_per_line: list[dict[str, tuple[int, int]]] = []
+    # One rectangle per (line, history) gives both the tree-vs-table check
+    # and the good (0-monochromatic, empty included) histories, in order.
+    good_per_line: list[list[tuple[str, int, int]]] = []
     for i, ln in enumerate(lines):
         masks = full_history_masks(ln.tree)
-        for h, (xm, ym) in masks.items():
+        good = []
+        for h in sorted(masks):
+            xm, ym = masks[h]
             rect = rectangle_bits(xm, ym, part.n2)
-            if ln.table.bits & rect != (rect if ln.tree.output_at(h) else 0):
+            ones = ln.table.bits & rect
+            if ones != (rect if ln.tree.output_at(h) else 0):
                 raise SoundnessError(
                     f"line {i}: protocol tree disagrees with the table"
                 )
-        masks_per_line.append(masks)
+            if ones == 0:
+                good.append((h, xm, ym))
+        good_per_line.append(good)
 
     builder = CircuitBuilder()
     built: dict[tuple[int, str], int] = {}
@@ -412,8 +417,7 @@ def compile_cc_refutation(
         clause = formula.clauses[ln.axiom - 1]
         xlits = sorted(clause.side_literals(part.xset), key=lambda l: l.var)
         alpha = tuple(int(lit.negated) for lit in xlits)
-        for h in good_from_masks(masks_per_line[i], ln.table):
-            xm, ym = masks_per_line[i][h]
+        for h, xm, ym in good_per_line[i]:
             if xm and ym:
                 gate = builder.input_gate(ln.axiom, alpha)
                 built[(i, h)] = gate
@@ -461,8 +465,7 @@ def compile_cc_refutation(
                 records.append(NodeRecord(i, h, prefix, gate, xm, ym))
             return gate
 
-        for h in good_from_masks(masks_per_line[i], ln.table):
-            xm, ym = masks_per_line[i][h]
+        for h, xm, ym in good_per_line[i]:
             gate = node("", xm, ym, h)
             built[(i, h)] = gate
             entries.append(CompiledLineCircuit(i, h, gate))

@@ -160,7 +160,13 @@ def _build_compile_inputs(args, formula, part):
         proof = cpproof_mod.CpProof(formula_to_system(formula), lines)
         check = cpproof_mod.check_cp_proof(proof)
         if not (check.all_valid and check.is_refutation):
-            raise SoundnessError("the supplied proof is not a valid refutation")
+            bad = next((v for v in check.verdicts if not v.valid), None)
+            why = (
+                f"line {bad.index}: {bad.reason}"
+                if bad
+                else "no line reaches a refutation terminal"
+            )
+            raise SoundnessError(f"the supplied proof is not a valid refutation: {why}")
         cc = circuit_mod.cc_lines_from_cp_proof(formula, part, proof)
         source = {"kind": "cp-proof", "path": args.proof, "length": proof.length}
     else:

@@ -1,9 +1,9 @@
 """The monotone CSP satisfiability function and its canonical instances.
 
 An instance is a bit vector listing one truth table per constraint: blocks in
-constraint order and, inside a block, assignments in lexicographic order with
-the constraint's variables ascending and the alphabet in its given order
-(first variable most significant). The whole vector is packed into one
+constraint order and, inside a block, the 0/1 assignments of the constraint's
+variables (ascending) in lexicographic order, read as binary numbers with the
+first variable most significant. The whole vector is packed into one
 integer, bit position = vector position.
 """
 
@@ -30,13 +30,10 @@ class ConstraintGraph:
 
     xvars: tuple[int, ...]
     constraints: tuple[tuple[int, ...], ...]
-    alphabet: tuple[int, ...] = (0, 1)
 
     def __post_init__(self):
         if len(set(self.xvars)) != len(self.xvars):
             raise ValueError("CSP variables must be distinct")
-        if len(self.alphabet) < 2:
-            raise ValueError("alphabet needs at least two symbols")
         known = set(self.xvars)
         for i, vs in enumerate(self.constraints, start=1):
             if list(vs) != sorted(set(vs)):
@@ -50,8 +47,7 @@ class ConstraintGraph:
 
     @cached_property
     def block_sizes(self) -> tuple[int, ...]:
-        a = len(self.alphabet)
-        return tuple(a ** len(vs) for vs in self.constraints)
+        return tuple(1 << len(vs) for vs in self.constraints)
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
@@ -67,28 +63,16 @@ class ConstraintGraph:
         """Total bit-vector length N."""
         return sum(self.block_sizes)
 
-    def rank(self, i: int, alpha: tuple[int, ...]) -> int:
-        symbols = {s: k for k, s in enumerate(self.alphabet)}
-        vs = self.constraints[i]
-        if len(alpha) != len(vs):
-            raise ValueError("assignment length does not match the constraint")
-        r = 0
-        for s in alpha:
-            r = r * len(self.alphabet) + symbols[s]
-        return r
-
     def position(self, i: int, alpha: tuple[int, ...]) -> int:
         """Bit position of truth-table entry (constraint i, assignment alpha)."""
-        return self.offsets[i] + self.rank(i, alpha)
-
-    def alpha_of_rank(self, i: int, rank: int) -> tuple[int, ...]:
-        width = len(self.constraints[i])
-        a = len(self.alphabet)
-        digits = []
-        for _ in range(width):
-            digits.append(self.alphabet[rank % a])
-            rank //= a
-        return tuple(reversed(digits))
+        if len(alpha) != len(self.constraints[i]):
+            raise ValueError("assignment length does not match the constraint")
+        rank = 0
+        for bit in alpha:
+            if bit not in (0, 1):
+                raise ValueError(f"assignment bit {bit!r} is not 0 or 1")
+            rank = rank << 1 | bit
+        return self.offsets[i] + rank
 
 
 @dataclass(frozen=True)
@@ -126,14 +110,8 @@ def build_constraint_graph(
     return ConstraintGraph(part.xvars, constraints)
 
 
-def _binary_only(graph: ConstraintGraph) -> None:
-    if graph.alphabet != (0, 1):
-        raise ValueError("instance constructions are defined for the 0/1 alphabet")
-
-
 def accepting_instance(graph: ConstraintGraph, x: Assignment) -> CspSatInstance:
     """One-hot blocks: constraint i is 1 exactly at x restricted to vars(i)."""
-    _binary_only(graph)
     if not set(graph.xvars) <= x.scope:
         raise ScopeError("x must assign every X-side variable")
     bits = 0
@@ -150,7 +128,6 @@ def rejecting_instance(
     y: Assignment,
 ) -> CspSatInstance:
     """Entry (i, alpha) is 0 iff clause i is falsified by alpha joined with y."""
-    _binary_only(graph)
     if not part.yset <= y.scope:
         raise ScopeError("y must assign every Y-side variable")
     if graph.m != formula.m:
@@ -158,8 +135,7 @@ def rejecting_instance(
     bits = full_mask(graph.size)
     for i, vs in enumerate(graph.constraints):
         clause = formula.clauses[i]
-        for rank in range(graph.block_sizes[i]):
-            alpha = graph.alpha_of_rank(i, rank)
+        for rank, alpha in enumerate(itertools.product((0, 1), repeat=len(vs))):
             joint = Assignment.from_map(
                 {**{v: a for v, a in zip(vs, alpha)}, **{v: y.bit(v) for v in part.yvars}}
             )
@@ -169,7 +145,7 @@ def rejecting_instance(
 
 
 def csp_sat_eval(graph: ConstraintGraph, inst: CspSatInstance) -> bool:
-    """Backtracking search for an alphabet assignment whose restriction hits a
+    """Backtracking search for a 0/1 assignment whose restriction hits a
     1-entry in every block.
     """
     if inst.graph != graph:
@@ -182,13 +158,12 @@ def csp_sat_eval(graph: ConstraintGraph, inst: CspSatInstance) -> bool:
     for ci, vs in enumerate(graph.constraints):
         step = max((var_pos[v] for v in vs), default=-1) + 1
         ready[step].append(ci)
-    a = len(graph.alphabet)
     chosen = [0] * k
 
     def block_ok(ci: int) -> bool:
         rank = 0
         for v in graph.constraints[ci]:
-            rank = rank * a + chosen[var_pos[v]]
+            rank = rank << 1 | chosen[var_pos[v]]
         return inst.bit(graph.offsets[ci] + rank) == 1
 
     def descend(step: int) -> bool:
@@ -197,8 +172,8 @@ def csp_sat_eval(graph: ConstraintGraph, inst: CspSatInstance) -> bool:
                 return False
         if step == k:
             return True
-        for sym in range(a):
-            chosen[step] = sym
+        for bit in (0, 1):
+            chosen[step] = bit
             if descend(step + 1):
                 return True
         return False
@@ -331,7 +306,7 @@ def circuit_size_lower_bound(
 def serialize_instance(inst: CspSatInstance) -> str:
     g = inst.graph
     lines = [
-        f"csp-sat {g.m} {len(g.xvars)} {len(g.alphabet)}",
+        f"csp-sat {g.m} {len(g.xvars)} 2",
         "blocks " + " ".join(str(s) for s in g.block_sizes),
     ]
     for i in range(g.m):
@@ -350,7 +325,7 @@ def parse_instance(text: str, graph: ConstraintGraph) -> CspSatInstance:
         m, nx, a = (int(t) for t in head[1:])
     except ValueError:
         raise InstanceTextError(1, "header counts must be integers")
-    if (m, nx, a) != (graph.m, len(graph.xvars), len(graph.alphabet)):
+    if (m, nx, a) != (graph.m, len(graph.xvars), 2):
         raise InstanceTextError(1, "header does not match the topology")
     if len(rows) < 2 or not rows[1].startswith("blocks"):
         raise InstanceTextError(2, "missing 'blocks' line")

@@ -101,8 +101,7 @@ def clause_protocol(clause: Clause, part: VariablePartition) -> ProtocolTree:
     falsified and always sends 0.
     """
     check_side_cap(part)
-    alice_false = falsifying_mask(clause.side_literals(part.xset), part, part.xvars)
-    bob_false = falsifying_mask(clause.side_literals(part.yset), part, part.yvars)
+    alice_false, bob_false = falsifying_mask(clause.literals, part)
     alice_pred = full_mask(1 << part.n1) & ~alice_false
     bob_pred = full_mask(1 << part.n2) & ~bob_false
     owners = {"": ALICE, "0": BOB, "1": BOB}
@@ -210,11 +209,7 @@ def full_history_masks(tree: ProtocolTree) -> dict[str, tuple[int, int]]:
     return result
 
 
-def materialize_rectangle(
-    tree: ProtocolTree, history: str, part: VariablePartition | None = None
-) -> Rectangle:
-    if part is not None and part != tree.part:
-        raise ValueError("partition does not match the tree's partition")
+def materialize_rectangle(tree: ProtocolTree, history: str) -> Rectangle:
     check_side_cap(tree.part)
     if len(history) > tree.depth:
         raise ValueError("history longer than the tree depth")
@@ -238,15 +233,11 @@ def good_from_masks(
     ]
 
 
-def good_histories(
-    tree: ProtocolTree, line: SemanticLine, part: VariablePartition | None = None
-) -> list[str]:
+def good_histories(tree: ProtocolTree, line: SemanticLine) -> list[str]:
     """Full histories whose rectangle is 0-monochromatic for the line.
 
     Empty rectangles qualify vacuously.
     """
-    if part is not None and part != tree.part:
-        raise ValueError("partition does not match the tree's partition")
     check_side_cap(tree.part)
     if (line.n1, line.n2) != (tree.n1, tree.n2):
         raise ValueError("line dimensions do not match the tree")

@@ -12,27 +12,36 @@ from typing import Callable, Iterable
 
 from .bitops import full_mask, spread, value_masks
 from .cnf import Assignment, Clause, Literal, VariablePartition
-from .errors import CapExceededError
+from .errors import CapExceededError, ScopeError
 from .linear import LinearInequality
 
 TABLE_CAP = 24
 
 
 def falsifying_mask(
-    literals: Iterable[Literal], part: VariablePartition, side_vars: tuple[int, ...]
-) -> int:
-    """Mask of side-input indices whose restriction falsifies every literal.
+    literals: Iterable[Literal], part: VariablePartition
+) -> tuple[int, int]:
+    """Masks of the X-side and of the Y-side indices whose restriction
+    falsifies every literal of that side.
 
-    Only literals over ``side_vars`` (``part.xvars`` or ``part.yvars``) may be
-    passed. An empty literal list is vacuously falsified everywhere, giving
-    the full mask.
+    A side without literals is vacuously falsified everywhere, giving its
+    full mask. Raises ``ScopeError`` for a variable the partition does not
+    hold.
     """
-    full = full_mask(1 << len(side_vars))
+    xfull = full_mask(1 << part.n1)
+    yfull = full_mask(1 << part.n2)
+    xf, yf = xfull, yfull
     var_masks = part.var_masks
-    mask = full
+    xset = part.xset
     for lit in literals:
-        mask &= var_masks[lit.var] if lit.negated else full ^ var_masks[lit.var]
-    return mask
+        ones = var_masks.get(lit.var)
+        if ones is None:
+            raise ScopeError(f"clause variable {lit.var} is outside the partition")
+        if lit.var in xset:
+            xf &= ones if lit.negated else xfull ^ ones
+        else:
+            yf &= ones if lit.negated else yfull ^ ones
+    return xf, yf
 
 
 def rectangle_bits(xmask: int, ymask: int, n2: int) -> int:
@@ -85,13 +94,7 @@ class SemanticLine:
         yields the constant-0 table (the empty clause).
         """
         _check_cap(part)
-        lits = tuple(literals)
-        xf = falsifying_mask(
-            tuple(l for l in lits if l.var in part.xset), part, part.xvars
-        )
-        yf = falsifying_mask(
-            tuple(l for l in lits if l.var in part.yset), part, part.yvars
-        )
+        xf, yf = falsifying_mask(literals, part)
         bits = full_mask(1 << part.n) ^ rectangle_bits(xf, yf, part.n2)
         return cls(part.n1, part.n2, bits)
 

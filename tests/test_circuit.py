@@ -146,6 +146,31 @@ class TestCompileComplete2Cnf:
                 if (node.ymask >> y) & 1:
                     assert v_vals[y][node.gate] == 0
 
+    def test_one_rectangle_per_history(self, monkeypatch):
+        # the agreement check and the good histories share one rectangle per
+        # (line, history); the clause tables of the validation add one each
+        import proofbench.circuit as circuit_mod
+        import proofbench.protocol as protocol_mod
+        import proofbench.semantics as semantics_mod
+        from proofbench.protocol import full_history_masks
+
+        f = parse_dimacs(COMPLETE_2CNF)
+        part = VariablePartition((1,), (2,))
+        cc = cc_lines_from_resolution(resolution_refutation_from_dpll(f), part)
+        calls = []
+        original = semantics_mod.rectangle_bits
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (circuit_mod, protocol_mod, semantics_mod):
+            monkeypatch.setattr(module, "rectangle_bits", counted)
+        result = compile_cc_refutation(cc, f, part)
+        histories = sum(len(full_history_masks(ln.tree)) for ln in cc)
+        assert len(calls) == histories + f.m
+        assert result.circuit == compile_complete()[3].circuit
+
     def test_monotone_spot_check(self):
         f, part, _, result = compile_complete()
         g = build_constraint_graph(f, part)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,6 +13,10 @@ from proofbench.cnf import parse_dimacs
 COMPLETE_2CNF = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
 CONTRADICTION = "p cnf 1 2\n1 0\n-1 0\n"
 CONTRADICTION_PROOF = "1: 1 >= 1 ; hyp 1\n2: -1 >= 0 ; hyp 2\n3: 0 >= 1 ; add 1 2\n"
+UNSAT3 = (
+    "p cnf 3 8\n1 2 3 0\n1 2 -3 0\n1 -2 3 0\n1 -2 -3 0\n"
+    "-1 2 3 0\n-1 2 -3 0\n-1 -2 3 0\n-1 -2 -3 0\n"
+)
 
 
 @pytest.fixture
@@ -163,6 +168,30 @@ class TestCompileChain:
         assert capsys.readouterr().err == (
             "proofbench: error: line 17: message width 16+1 exceeds protocol "
             "depth cap 16\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, why",
+        [("1: 1 >= 2 ; hyp 1\n", "line 1: line differs from system row 1"),
+         ("1: 1 >= 1 ; hyp 1\n", "no line reaches a refutation terminal")],
+        ids=["invalid-line", "no-terminal"],
+    )
+    def test_compile_invalid_proof_names_witness(
+        self, contra, tmp_path, capsys, text, why
+    ):
+        cnf, _ = contra
+        proof = tmp_path / "bad.cpp"
+        proof.write_text(text)
+        out, report = tmp_path / "c.mct", tmp_path / "r.json"
+        code = main(
+            ["compile", "--cnf", str(cnf), "--proof", str(proof),
+             "--out", str(out), "--report", str(report)]
+        )
+        assert code == 1
+        assert not out.exists() and not report.exists()
+        assert capsys.readouterr().err == (
+            "proofbench: check failed: the supplied proof is not a valid "
+            f"refutation: {why}\n"
         )
 
     def test_verify_sep_failure_exits_one(self, complete2, tmp_path):
@@ -399,6 +428,32 @@ class TestErrors:
             "proofbench: error: fraction '1/0' has a zero denominator\n"
         )
 
+    @pytest.mark.parametrize(
+        "command", ["compile", "verify-sep", "extract", "roundtrip", "stats"]
+    )
+    def test_partition_missing_a_variable_exits_2(self, tmp_path, capsys, command):
+        cnf = tmp_path / "unsat3.cnf"
+        cnf.write_text(UNSAT3)
+        circuit = tmp_path / "c.mct"
+        circuit.write_text("g0 = const0\noutput g0\n")
+        out, report = tmp_path / "out.mct", tmp_path / "r.json"
+        argv = {
+            "compile": ["--out", str(out)],
+            "verify-sep": ["--circuit", str(circuit)],
+            "extract": ["--circuit", str(circuit)],
+            "roundtrip": [],
+            "stats": ["--stat", "heavy-sat", "--n", "3", "--d", "3", "--m", "8"],
+        }[command]
+        code = main(
+            [command, "--cnf", str(cnf), *argv, "--partition", "x:1", "y:2",
+             "--report", str(report)]
+        )
+        assert code == 2
+        assert not out.exists() and not report.exists()
+        assert capsys.readouterr().err == (
+            "proofbench: error: clause variable 3 is outside the partition\n"
+        )
+
     @pytest.mark.parametrize("command", ["verify-sep", "extract"])
     def test_side_cap_exits_2(self, tmp_path, capsys, command):
         cnf = tmp_path / "wide.cnf"
@@ -422,8 +477,7 @@ class TestErrors:
 FUZZ_CNFS = {
     "complete2": COMPLETE_2CNF,
     "contra": CONTRADICTION,
-    "unsat3": "p cnf 3 8\n1 2 3 0\n1 2 -3 0\n1 -2 3 0\n1 -2 -3 0\n"
-    "-1 2 3 0\n-1 2 -3 0\n-1 -2 3 0\n-1 -2 -3 0\n",
+    "unsat3": UNSAT3,
     "sat": "p cnf 2 1\n1 2 0\n",
     "empty": "p cnf 2 0\n",
     "tautology": "p cnf 1 1\n1 -1 0\n",
@@ -565,6 +619,70 @@ class TestFuzz:
             code = main(argv)
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err.getvalue()
+        text = report.read_text() if report.exists() else out.getvalue()
         if code == 0:
-            text = report.read_text() if "--report" in argv else out.getvalue()
             assert "results" in json.loads(text), argv
+        if code == 1:
+            data = json.loads(text) if text else None
+            assert has_witness(argv[0], data, err.getvalue()), argv
+
+    # every exit-1 path the fuzz can reach, each taken on every run
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-sep", "--cnf", "complete2.cnf", "--circuit", "const0.mct"],
+            ["verify-sep", "--cnf", "complete2.cnf", "--circuit", "in.mct"],
+            ["check-proof", "--cnf", "contra.cnf", "--proof", "wrong.cpp"],
+            ["check-proof", "--cnf", "contra.cnf", "--proof", "blank.cpp"],
+            ["extract", "--cnf", "complete2.cnf", "--circuit", "const1.mct"],
+            ["compile", "--cnf", "sat.cnf", "--out", "out.mct"],
+            ["compile", "--cnf", "contra.cnf", "--proof", "wrong.cpp",
+             "--out", "out.mct"],
+            ["compile", "--cnf", "contra.cnf", "--proof", "blank.cpp",
+             "--out", "out.mct"],
+            ["roundtrip", "--cnf", "sat.cnf"],
+        ],
+        ids=lambda argv: " ".join(a.split(".")[0] for a in argv[::2]),
+    )
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "report"])
+    def test_exit_one_carries_witness(self, fuzz_dir, capsys, argv, to_file):
+        argv = [str(fuzz_dir / a) if "." in a else a for a in argv]
+        report = fuzz_dir / "report.json"
+        report.unlink(missing_ok=True)
+        assert main(argv + (["--report", str(report)] if to_file else [])) == 1
+        out, err = capsys.readouterr()
+        text = report.read_text() if report.exists() else out
+        assert has_witness(argv[0], json.loads(text) if text else None, err)
+
+
+STDERR_WITNESSES = re.compile(
+    r"proofbench: formula is satisfiable: Assignment\(.*\)\n"
+    r"|proofbench: check failed: .*(line \d+|no line reaches|failing x=)"
+)
+
+
+def has_witness(command, data, err):
+    """An exit 1 names what failed: in the report when one is written, else
+    on stderr (a satisfying assignment, or the failing line or index).
+    """
+    if data is None:
+        return STDERR_WITNESSES.match(err) is not None
+    results = data["results"]
+    if command == "verify-sep":
+        return results["failing_x"] is not None or results["failing_y"] is not None
+    if command == "check-proof":
+        return (
+            any(not line["valid"] for line in results["lines"])
+            or results["refutation"] is False
+        )
+    if command == "extract":
+        return bool(results["problems"])
+    if command == "roundtrip":
+        sep, extraction = results["separation"], results["extraction"]
+        return (
+            sep["failing_x"] is not None
+            or sep["failing_y"] is not None
+            or results["claim_violations"] > 0
+            or bool(extraction and extraction["problems"])
+        )
+    return False

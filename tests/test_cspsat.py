@@ -48,8 +48,8 @@ def complete_setup():
 
 
 def eval_oracle(graph: ConstraintGraph, inst: CspSatInstance) -> bool:
-    """Product enumeration over all alphabet assignments."""
-    for alpha in itertools.product(graph.alphabet, repeat=len(graph.xvars)):
+    """Product enumeration over all 0/1 assignments."""
+    for alpha in itertools.product((0, 1), repeat=len(graph.xvars)):
         by_var = dict(zip(graph.xvars, alpha))
         if all(
             inst.entry(i, tuple(by_var[v] for v in vs)) == 1
@@ -84,9 +84,16 @@ class TestGraph:
         _, _, g = complete_setup()
         seen = set()
         for i, vs in enumerate(g.constraints):
-            for alpha in itertools.product(g.alphabet, repeat=len(vs)):
+            for alpha in itertools.product((0, 1), repeat=len(vs)):
                 seen.add(g.position(i, alpha))
         assert seen == set(range(g.size))
+
+    @pytest.mark.parametrize("alpha", [(0, 0), (2,)], ids=["length", "bit-2"])
+    def test_position_rejects_non_assignment(self, alpha):
+        _, _, g = complete_setup()
+        with pytest.raises(ValueError) as info:
+            g.position(0, alpha)
+        assert info.type is ValueError
 
 
 class TestInstances:
@@ -362,6 +369,11 @@ class TestSerialization:
         other = ConstraintGraph((1,), ((1,), (1,)))
         with pytest.raises(InstanceTextError):
             parse_instance(serialize_instance(u), other)
+        # the third header field, the alphabet size, is always 2
+        text = serialize_instance(u)
+        assert text.startswith(f"csp-sat {g.m} {len(g.xvars)} 2\n")
+        with pytest.raises(InstanceTextError, match="does not match the topology"):
+            parse_instance(text.replace(" 2\n", " 3\n", 1), g)
 
     def test_bad_block_row(self):
         f, part, g = complete_setup()

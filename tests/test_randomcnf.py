@@ -7,7 +7,7 @@ import pytest
 
 from helpers import count_satisfying
 from proofbench.cnf import Clause, CnfFormula, VariablePartition, parse_dimacs
-from proofbench.errors import CapExceededError
+from proofbench.errors import CapExceededError, ScopeError
 from proofbench.randomcnf import (
     DistributionParams,
     binary_entropy,
@@ -368,6 +368,15 @@ class TestHeavySatFraction:
         part = VariablePartition((1,), (2, 3, 4))
         report = heavy_sat_fraction(f, part, "y", Fraction(1, 4))
         assert report.heavy_count == 1 and report.fraction == Fraction(7, 8)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_variable_outside_the_partition(self, mode):
+        f = CnfFormula(3, (Clause.from_signed([1, -2, 3]),))
+        part = VariablePartition((1,), (2,))
+        with pytest.raises(
+            ScopeError, match="clause variable 3 is outside the partition"
+        ):
+            heavy_sat_fraction(f, part, "x", Fraction(1, 4), mode=mode)
 
     def test_sampled_zero_trials(self):
         f = CnfFormula(4, (Clause.from_signed([1, -2, 3]),))

@@ -6,19 +6,41 @@ compared with the slow, obvious computation on random partitions: a random
 split of 1..n in random order, either side possibly empty.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proofbench.bitops import iter_bits, spread
-from proofbench.cnf import Assignment, Literal, VariablePartition
+from proofbench.circuit import (
+    cc_lines_from_resolution,
+    compile_cc_refutation,
+    side_values,
+    verify_separation,
+)
+from proofbench.cnf import (
+    Assignment,
+    Clause,
+    Literal,
+    VariablePartition,
+    parse_dimacs,
+)
+from proofbench.cpproof import resolution_refutation_from_dpll
+from proofbench.errors import ScopeError
+from proofbench.gates import ConstGate, MonotoneCircuit
 from proofbench.linear import LinearInequality
 from proofbench.protocol import (
+    clause_protocol,
     full_history_masks,
     good_from_masks,
     inequality_protocol,
     run_protocol,
 )
 from proofbench.semantics import SemanticLine, falsifying_mask
+
+UNSAT3 = (
+    "p cnf 3 8\n1 2 3 0\n1 2 -3 0\n1 -2 3 0\n1 -2 -3 0\n"
+    "-1 2 3 0\n-1 2 -3 0\n-1 -2 3 0\n-1 -2 -3 0\n"
+)
 
 
 @st.composite
@@ -78,14 +100,15 @@ class TestKernel:
     @given(partition_and_literals())
     def test_falsifying_mask(self, case):
         part, lits = case
+        slow = []
         for side in (part.xvars, part.yvars):
             side_lits = tuple(l for l in lits if l.var in side)
-            slow = sum(
+            slow.append(sum(
                 1 << i
                 for i, a in enumerate(side_assignments(side))
                 if not any(l.satisfied_by(a.bit(l.var)) for l in side_lits)
-            )
-            assert falsifying_mask(side_lits, part, side) == slow
+            ))
+        assert falsifying_mask(lits, part) == tuple(slow)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**70), st.integers(1, 300))
@@ -143,3 +166,44 @@ class TestTablesAndProtocols:
                 if all(line.row(x) & masks[h][1] == 0 for x in iter_bits(masks[h][0]))
             ]
             assert good_from_masks(masks, line) == slow
+
+
+class TestScope:
+    """A clause variable the partition does not hold is a ``ScopeError`` at
+    the kernel and at every caller, never a silently dropped literal.
+    """
+
+    SHORT = VariablePartition((1,), (2,))  # the formula also uses variable 3
+
+    def test_kernel_and_its_callers_raise(self):
+        f = parse_dimacs(UNSAT3)
+        refutation = resolution_refutation_from_dpll(f)
+        circuit = MonotoneCircuit((ConstGate(0),), 0)
+        for run in (
+            lambda: falsifying_mask(f.clauses[0].literals, self.SHORT),
+            lambda: SemanticLine.from_literals(f.clauses[0].literals, self.SHORT),
+            lambda: SemanticLine.from_clause(f.clauses[0], self.SHORT),
+            lambda: clause_protocol(f.clauses[0], self.SHORT),
+            lambda: cc_lines_from_resolution(refutation, self.SHORT),
+            lambda: side_values(circuit, f, self.SHORT),
+        ):
+            with pytest.raises(
+                ScopeError, match="clause variable 3 is outside the partition"
+            ):
+                run()
+
+    def test_first_outside_variable_is_named(self):
+        lits = (Literal(5), Literal(1), Literal(4, True))
+        with pytest.raises(ScopeError, match="clause variable 5 "):
+            falsifying_mask(lits, self.SHORT)
+
+    def test_partition_beyond_the_formula_is_valid(self):
+        f = parse_dimacs("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
+        part = VariablePartition((1, 3), (4, 2))
+        cc = cc_lines_from_resolution(resolution_refutation_from_dpll(f), part)
+        result = compile_cc_refutation(cc, f, part)
+        assert verify_separation(result.circuit, f, part).passed
+        line = SemanticLine.from_clause(Clause.from_signed([1, -2]), part)
+        assert line == SemanticLine.from_function(
+            part, lambda a: a.bit(1) == 1 or a.bit(2) == 0
+        )
