@@ -25,7 +25,8 @@ from .cnf import (
     VariablePartition,
     brute_force_sat,
 )
-from .errors import CapExceededError, ScopeError
+from .errors import CapExceededError
+from .semantics import check_scope
 
 # Exact profiles and exact heavy-sat enumerate at most 2^EXACT_CAP assignments.
 EXACT_CAP = 20
@@ -533,12 +534,7 @@ def heavy_sat_fraction(
         raise ValueError("epsilon must lie strictly between 0 and 1")
     if side not in ("x", "y"):
         raise ValueError("side must be 'x' or 'y'")
-    for c in formula.clauses:
-        for lit in c.literals:
-            if lit.var > part.n:
-                raise ScopeError(
-                    f"clause variable {lit.var} is outside the partition"
-                )
+    check_scope((lit for c in formula.clauses for lit in c.literals), part)
     side_vars = part.xvars if side == "x" else part.yvars
     side_set = part.xset if side == "x" else part.yset
     d = formula.width

@@ -18,6 +18,16 @@ from .linear import LinearInequality
 TABLE_CAP = 24
 
 
+def check_scope(literals: Iterable[Literal], part: VariablePartition) -> None:
+    """Raise ``ScopeError`` for the first literal whose variable the
+    partition, which holds exactly 1..n, does not hold.
+    """
+    n = part.n
+    for lit in literals:
+        if lit.var > n:
+            raise ScopeError(f"clause variable {lit.var} is outside the partition")
+
+
 def falsifying_mask(
     literals: Iterable[Literal], part: VariablePartition
 ) -> tuple[int, int]:
@@ -28,15 +38,15 @@ def falsifying_mask(
     full mask. Raises ``ScopeError`` for a variable the partition does not
     hold.
     """
+    literals = tuple(literals)
+    check_scope(literals, part)
     xfull = full_mask(1 << part.n1)
     yfull = full_mask(1 << part.n2)
     xf, yf = xfull, yfull
     var_masks = part.var_masks
     xset = part.xset
     for lit in literals:
-        ones = var_masks.get(lit.var)
-        if ones is None:
-            raise ScopeError(f"clause variable {lit.var} is outside the partition")
+        ones = var_masks[lit.var]
         if lit.var in xset:
             xf &= ones if lit.negated else xfull ^ ones
         else:

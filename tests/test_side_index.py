@@ -35,7 +35,7 @@ from proofbench.protocol import (
     inequality_protocol,
     run_protocol,
 )
-from proofbench.semantics import SemanticLine, falsifying_mask
+from proofbench.semantics import SemanticLine, check_scope, falsifying_mask
 
 UNSAT3 = (
     "p cnf 3 8\n1 2 3 0\n1 2 -3 0\n1 -2 3 0\n1 -2 -3 0\n"
@@ -194,8 +194,10 @@ class TestScope:
 
     def test_first_outside_variable_is_named(self):
         lits = (Literal(5), Literal(1), Literal(4, True))
-        with pytest.raises(ScopeError, match="clause variable 5 "):
-            falsifying_mask(lits, self.SHORT)
+        for run in (falsifying_mask, check_scope):
+            with pytest.raises(ScopeError, match="clause variable 5 "):
+                run(iter(lits), self.SHORT)
+        check_scope(iter(lits[1:2]), self.SHORT)  # in scope: no error
 
     def test_partition_beyond_the_formula_is_valid(self):
         f = parse_dimacs("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
