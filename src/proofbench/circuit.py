@@ -34,6 +34,7 @@ from .cpproof import (
     CpProof,
     Division,
     Hypothesis,
+    ProofLine,
     ResolutionRefutation,
     cp_lines_to_protocols,
     is_refutation_terminal,
@@ -41,6 +42,7 @@ from .cpproof import (
 from .cspsat import CspSatInstance
 from .errors import SoundnessError
 from .gates import AndGate, ConstGate, Gate, InputGate, MonotoneCircuit, OrGate
+from .linear import LinearInequality
 from .protocol import (
     ALICE,
     BOB,
@@ -274,7 +276,17 @@ def cc_lines_from_cp_proof(
         for i, clause in enumerate(formula.clauses)
     ]
     m = formula.m
-    steps = proof.lines[: terminal + 1]
+    # The partition may name variables the formula never uses; their
+    # coefficients are zero.
+    steps = tuple(
+        ProofLine(
+            LinearInequality(
+                ln.ineq.coeffs + (0,) * (part.n - ln.ineq.n), ln.ineq.constant
+            ),
+            ln.justification,
+        )
+        for ln in proof.lines[: terminal + 1]
+    )
     trees = cp_lines_to_protocols(CpProof(proof.system, steps), part)
     for line, tree in zip(steps, trees):
         table = SemanticLine.from_inequality(line.ineq, part)
@@ -322,15 +334,6 @@ class CompileReport:
     max_protocol_depth: int
     size_estimate: int  # lines times 2^k, the construction's own accounting
     size_bound: int  # lines times 2^{3k}, the ceiling asserted by tests
-
-    def to_dict(self) -> dict:
-        return {
-            "line_count": self.line_count,
-            "gate_count": self.gate_count,
-            "max_protocol_depth": self.max_protocol_depth,
-            "size_estimate": self.size_estimate,
-            "size_bound": self.size_bound,
-        }
 
 
 @dataclass(frozen=True)
@@ -507,15 +510,6 @@ class SeparationReport:
     failing_x: int | None = None
     failing_y: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "accepting_checked": self.accepting_checked,
-            "rejecting_checked": self.rejecting_checked,
-            "failing_x": self.failing_x,
-            "failing_y": self.failing_y,
-        }
-
 
 def verify_separation(
     circuit: MonotoneCircuit, formula: CnfFormula, part: VariablePartition
@@ -555,22 +549,8 @@ class ExtractionReport:
     internal_entailments_ok: bool
     constant_lines_ok: bool
     root_constant_zero: bool
+    all_ok: bool
     problems: tuple[str, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return not self.problems
-
-    def to_dict(self) -> dict:
-        return {
-            "line_count": self.line_count,
-            "leaf_entailments_ok": self.leaf_entailments_ok,
-            "internal_entailments_ok": self.internal_entailments_ok,
-            "constant_lines_ok": self.constant_lines_ok,
-            "root_constant_zero": self.root_constant_zero,
-            "all_ok": self.all_ok,
-            "problems": list(self.problems),
-        }
 
 
 @dataclass(frozen=True)
@@ -654,6 +634,7 @@ def extract_cc2_refutation(
         internal_entailments_ok=internal_ok,
         constant_lines_ok=const_ok,
         root_constant_zero=root_zero,
+        all_ok=not problems,
         problems=tuple(problems),
     )
     return ExtractedRefutation(tuple(lines), tuple(trees), provenance, report)

@@ -97,6 +97,46 @@ def _partition_dict(part: VariablePartition) -> dict:
     return {"xvars": list(part.xvars), "yvars": list(part.yvars)}
 
 
+def _resolve_partition(args, formula: CnfFormula) -> tuple[VariablePartition, dict]:
+    """The ``--partition`` choice and its config entry, spelled out."""
+    part, mode = parse_partition_spec(args.partition, formula, args.seed)
+    return part, _partition_dict(part) | mode
+
+
+def _formula_inputs(args) -> tuple[CnfFormula, VariablePartition, dict]:
+    """Load ``--cnf``, resolve ``--partition``, and start the config block
+    that every formula-and-partition command shares.
+    """
+    formula = _load_formula(args.cnf)
+    part, partition = _resolve_partition(args, formula)
+    config = {
+        "command": args.command,
+        "cnf": args.cnf,
+        "partition": partition,
+        "seed": args.seed,
+    }
+    return formula, part, config
+
+
+def _jsonable(value):
+    """JSON data of a result: a dataclass becomes the dict of its fields, a
+    tuple or list a list, a ``Fraction`` its string; anything else is kept.
+
+    Dispatch is on the exact type: ``dataclasses.asdict`` deep-copies every
+    leaf and ``isinstance`` against ``Fraction`` is an ABC check, both
+    several times slower on a long check report.
+    """
+    kind = type(value)
+    if kind is tuple or kind is list:
+        return [_jsonable(v) for v in value]
+    if kind is Fraction:
+        return str(value)
+    fields = getattr(kind, "__dataclass_fields__", None)
+    if fields is not None:
+        return {name: _jsonable(getattr(value, name)) for name in fields}
+    return value
+
+
 # --- subcommands ---------------------------------------------------------
 
 
@@ -139,6 +179,9 @@ def _cmd_check_proof(args: argparse.Namespace) -> int:
     if bound is None:
         bound = cpproof_mod.default_weight_bound(formula.n)
     check = cpproof_mod.check_cp_proof(proof, weight_bound=bound)
+    results = _jsonable(check)
+    results["lines"] = results.pop("verdicts")
+    results["refutation"] = results.pop("is_refutation")
     report = {
         "config": {
             "command": "check-proof",
@@ -147,7 +190,7 @@ def _cmd_check_proof(args: argparse.Namespace) -> int:
             "weight_bound": bound,
             "require_refutation": args.require_refutation,
         },
-        "results": check.to_dict(),
+        "results": results,
     }
     _write_report(report, args.report)
     ok = check.all_valid and (check.is_refutation or not args.require_refutation)
@@ -177,59 +220,34 @@ def _build_compile_inputs(args, formula, part):
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    formula = _load_formula(args.cnf)
-    part, part_mode = parse_partition_spec(args.partition, formula, args.seed)
+    formula, part, config = _formula_inputs(args)
     cc, source = _build_compile_inputs(args, formula, part)
     result = circuit_mod.compile_cc_refutation(cc, formula, part)
     Path(args.out).write_text(circuit_mod.serialize_circuit(result.circuit))
     report = {
-        "config": {
-            "command": "compile",
-            "cnf": args.cnf,
-            "partition": _partition_dict(part) | part_mode,
-            "proof": args.proof,
-            "seed": args.seed,
-            "out": args.out,
-        },
-        "results": {"refutation": source} | result.report.to_dict(),
+        "config": config | {"proof": args.proof, "out": args.out},
+        "results": {"refutation": source} | _jsonable(result.report),
     }
     _write_report(report, args.report)
     return EXIT_PASS
 
 
 def _cmd_verify_sep(args: argparse.Namespace) -> int:
-    formula = _load_formula(args.cnf)
-    part, part_mode = parse_partition_spec(args.partition, formula, args.seed)
+    formula, part, config = _formula_inputs(args)
     circ = circuit_mod.parse_circuit(Path(args.circuit).read_text())
     sep = circuit_mod.verify_separation(circ, formula, part)
-    report = {
-        "config": {
-            "command": "verify-sep",
-            "cnf": args.cnf,
-            "circuit": args.circuit,
-            "partition": _partition_dict(part) | part_mode,
-            "seed": args.seed,
-        },
-        "results": sep.to_dict(),
-    }
+    report = {"config": config | {"circuit": args.circuit}, "results": _jsonable(sep)}
     _write_report(report, args.report)
     return EXIT_PASS if sep.passed else EXIT_FAIL
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    formula = _load_formula(args.cnf)
-    part, part_mode = parse_partition_spec(args.partition, formula, args.seed)
+    formula, part, config = _formula_inputs(args)
     circ = circuit_mod.parse_circuit(Path(args.circuit).read_text())
     extraction = circuit_mod.extract_cc2_refutation(circ, formula, part)
     report = {
-        "config": {
-            "command": "extract",
-            "cnf": args.cnf,
-            "circuit": args.circuit,
-            "partition": _partition_dict(part) | part_mode,
-            "seed": args.seed,
-        },
-        "results": extraction.report.to_dict(),
+        "config": config | {"circuit": args.circuit},
+        "results": _jsonable(extraction.report),
     }
     _write_report(report, args.report)
     return EXIT_PASS if extraction.report.all_ok else EXIT_FAIL
@@ -251,42 +269,40 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         report = randomcnf.unsat_rate(
             params, tensor=args.dist == "tensor", samples=args.samples
         )
-        results = report.to_dict()
-        results["rate_float"] = float(report.rate)
     elif args.stat == "expansion":
         formula = _sampled_formula(args, params)
         config |= {"epsilon": args.epsilon, "s_max": args.s_max, "trials": args.trials}
-        results = randomcnf.expansion_report(
+        report = randomcnf.expansion_report(
             formula,
             _fraction(args.epsilon),
             args.s_max,
             trials=args.trials,
             seed=args.seed,
             allow_beyond_regime=args.beyond_regime,
-        ).to_dict()
+        )
     elif args.stat == "profiles":
         formula = _sampled_formula(args, params)
         config |= {"mode": args.mode, "trials": args.trials}
-        results = randomcnf.profile_distinctness(
+        report = randomcnf.profile_distinctness(
             formula, mode=args.mode, seed=args.seed, trials=args.trials
-        ).to_dict()
+        )
     elif args.stat == "heavy-partition":
         formula = _sampled_formula(args, params)
         config |= {"epsilon": args.epsilon, "trials": args.trials}
-        results = randomcnf.heavy_partition_search(
+        report = randomcnf.heavy_partition_search(
             formula, _fraction(args.epsilon), max_trials=args.trials, seed=args.seed
-        ).to_dict()
+        )
     elif args.stat == "heavy-sat":
         formula = _sampled_formula(args, params)
-        part, part_mode = parse_partition_spec(args.partition, formula, args.seed)
+        part, partition = _resolve_partition(args, formula)
         config |= {
             "epsilon": args.epsilon,
             "mode": args.mode,
             "trials": args.trials,
             "side": args.side,
-            "partition": _partition_dict(part) | part_mode,
+            "partition": partition,
         }
-        results = randomcnf.heavy_sat_fraction(
+        report = randomcnf.heavy_sat_fraction(
             formula,
             part,
             args.side,
@@ -294,9 +310,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             mode=args.mode,
             seed=args.seed,
             trials=args.trials,
-        ).to_dict()
+        )
     else:
         raise ValueError(f"unknown stat {args.stat!r}")
+    results = _jsonable(report)
+    if args.stat == "unsat-rate":
+        results |= results.pop("params")
+        results["rate_float"] = float(report.rate)
+    elif args.stat == "heavy-partition":
+        results |= results.pop("partition")
     _write_report({"config": config, "results": results}, args.report)
     return EXIT_PASS
 
@@ -310,8 +332,7 @@ def _sampled_formula(args, params) -> CnfFormula:
 
 
 def _cmd_roundtrip(args: argparse.Namespace) -> int:
-    formula = _load_formula(args.cnf)
-    part, part_mode = parse_partition_spec(args.partition, formula, args.seed)
+    formula, part, config = _formula_inputs(args)
     refutation = cpproof_mod.resolution_refutation_from_dpll(formula)
     cc = circuit_mod.cc_lines_from_resolution(refutation, part)
     result = circuit_mod.compile_cc_refutation(cc, formula, part)
@@ -320,28 +341,21 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
     if sep.passed:
         claim_violations = _claim_violations(result, cc, formula, part)
         extraction = circuit_mod.extract_cc2_refutation(result.circuit, formula, part)
-        extraction_ok = extraction.report.all_ok
-        extraction_dict = extraction.report.to_dict()
+        extraction_report = extraction.report
     else:
-        extraction_ok = False
-        extraction_dict = None
+        extraction_report = None
     report = {
-        "config": {
-            "command": "roundtrip",
-            "cnf": args.cnf,
-            "partition": _partition_dict(part) | part_mode,
-            "seed": args.seed,
-        },
+        "config": config,
         "results": {
             "refutation_length": refutation.length,
-            "compile": result.report.to_dict(),
-            "separation": sep.to_dict(),
+            "compile": _jsonable(result.report),
+            "separation": _jsonable(sep),
             "claim_violations": claim_violations,
-            "extraction": extraction_dict,
+            "extraction": _jsonable(extraction_report),
         },
     }
     _write_report(report, args.report)
-    ok = sep.passed and claim_violations == 0 and extraction_ok
+    ok = sep.passed and claim_violations == 0 and extraction_report.all_ok
     return EXIT_PASS if ok else EXIT_FAIL
 
 
@@ -378,6 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_report(p):
         p.add_argument("--report", help="write the JSON report here (default stdout)")
 
+    def add_formula_tail(p):
+        # After the command's own arguments, so the usage line keeps its order.
+        p.add_argument("--seed", type=int, default=0)
+        add_partition(p)
+        add_report(p)
+
     p = sub.add_parser("gen", help="sample a random formula to DIMACS")
     p.add_argument("--dist", choices=["f", "tensor"], default="f")
     p.add_argument("--n", type=int, required=True)
@@ -405,25 +425,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cnf", required=True)
     p.add_argument("--proof", help="cutting-planes proof to ingest (default: DPLL)")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    add_partition(p)
-    add_report(p)
+    add_formula_tail(p)
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("verify-sep", help="check a circuit separates U from V")
     p.add_argument("--cnf", required=True)
     p.add_argument("--circuit", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    add_partition(p)
-    add_report(p)
+    add_formula_tail(p)
     p.set_defaults(func=_cmd_verify_sep)
 
     p = sub.add_parser("extract", help="pull a two-bit refutation out of a circuit")
     p.add_argument("--cnf", required=True)
     p.add_argument("--circuit", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    add_partition(p)
-    add_report(p)
+    add_formula_tail(p)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("stats", help="random-formula structural reports")
@@ -451,9 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="compile, verify, and extract in one go")
     p.add_argument("--cnf", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    add_partition(p)
-    add_report(p)
+    add_formula_tail(p)
     p.set_defaults(func=_cmd_roundtrip)
 
     return parser

@@ -212,6 +212,15 @@ class VariablePartition:
     def yset(self) -> frozenset[int]:
         return frozenset(self.yvars)
 
+    def check_exact_sides(self, x: Assignment, y: Assignment) -> None:
+        """Raise ``ScopeError`` unless x assigns exactly the X side and y
+        exactly the Y side.
+        """
+        if x.scope != self.xset:
+            raise ScopeError("x must be scoped exactly to the partition's X side")
+        if y.scope != self.yset:
+            raise ScopeError("y must be scoped exactly to the partition's Y side")
+
     @classmethod
     def alternating(cls, n: int) -> "VariablePartition":
         """Odd indices to X, even indices to Y."""
@@ -298,10 +307,7 @@ def search_violation(
     y: Assignment,
 ) -> int:
     """Smallest 1-based index of a clause falsified by the joint assignment."""
-    if x.scope != part.xset:
-        raise ScopeError("x must be scoped exactly to the partition's X side")
-    if y.scope != part.yset:
-        raise ScopeError("y must be scoped exactly to the partition's Y side")
+    part.check_exact_sides(x, y)
     joint = x.union(y)
     for i, clause in enumerate(formula.clauses, start=1):
         if not eval_clause(clause, joint):

@@ -80,19 +80,6 @@ class CpCheckReport:
     weight_bound: int | None
     low_weight: bool | None
 
-    def to_dict(self) -> dict:
-        return {
-            "lines": [
-                {"index": v.index, "valid": v.valid, "reason": v.reason}
-                for v in self.verdicts
-            ],
-            "all_valid": self.all_valid,
-            "refutation": self.is_refutation,
-            "max_weight": self.max_weight,
-            "weight_bound": self.weight_bound,
-            "low_weight": self.low_weight,
-        }
-
 
 def is_refutation_terminal(ineq: LinearInequality) -> bool:
     """All-zero coefficients with constant >= 1 is unsatisfiable outright."""

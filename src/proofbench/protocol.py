@@ -15,7 +15,7 @@ from typing import Mapping
 
 from .bitops import full_mask, iter_bits, value_masks
 from .cnf import Assignment, Clause, VariablePartition
-from .errors import CapExceededError, ScopeError
+from .errors import CapExceededError
 from .linear import LinearInequality
 from .semantics import SemanticLine, falsifying_mask, rectangle_bits
 
@@ -159,10 +159,7 @@ def run_protocol(
 ) -> tuple[str, int]:
     """Walk the tree on a concrete input pair; returns (history, output)."""
     part = tree.part
-    if x.scope != part.xset:
-        raise ScopeError("x must be scoped exactly to the partition's X side")
-    if y.scope != part.yset:
-        raise ScopeError("y must be scoped exactly to the partition's Y side")
+    part.check_exact_sides(x, y)
     x_idx = x.to_index(part.xvars)
     y_idx = y.to_index(part.yvars)
     history = ""
@@ -255,10 +252,7 @@ def real_protocol_eval(
     """
     if ineq.n != part.n:
         raise ValueError("inequality arity does not match the partition")
-    if x.scope != part.xset:
-        raise ScopeError("x must be scoped exactly to the partition's X side")
-    if y.scope != part.yset:
-        raise ScopeError("y must be scoped exactly to the partition's Y side")
+    part.check_exact_sides(x, y)
     alice = sum(ineq.coeffs[v - 1] * x.bit(v) for v in part.xvars)
     bob = ineq.constant - sum(ineq.coeffs[v - 1] * y.bit(v) for v in part.yvars)
     bit = alice >= bob

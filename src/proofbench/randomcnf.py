@@ -113,20 +113,6 @@ class UnsatRateReport:
     samples: tuple[UnsatSample, ...]
     rate: Fraction
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.params.m,
-            "n": self.params.n,
-            "d": self.params.d,
-            "seed": self.params.seed,
-            "tensor": self.tensor,
-            "samples": [
-                {"index": s.index, "seed": s.seed, "unsat": s.unsat}
-                for s in self.samples
-            ],
-            "rate": str(self.rate),
-        }
-
 
 def unsat_rate(
     params: DistributionParams,
@@ -170,25 +156,6 @@ class ExpansionReport:
     all_pass: bool
     regime_max_size: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": str(self.epsilon),
-            "regime_max_size": self.regime_max_size,
-            "seed": self.seed,
-            "all_pass": self.all_pass,
-            "rows": [
-                {
-                    "size": r.size,
-                    "min_vars": r.min_vars,
-                    "threshold": str(r.threshold),
-                    "mode": r.mode,
-                    "trials": r.trials,
-                    "passed": r.passed,
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def expansion_regime_max_size(n: int, d: int) -> int:
@@ -271,16 +238,6 @@ class ProfileReport:
     collisions: int
     witness: tuple[int, int] | None
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "distinct": self.distinct,
-            "rows_checked": self.rows_checked,
-            "collisions": self.collisions,
-            "witness": list(self.witness) if self.witness else None,
-            "seed": self.seed,
-        }
 
 
 def _falsifying_pattern(
@@ -426,21 +383,6 @@ class PartitionReport:
     balance_slack: float
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": str(self.epsilon),
-            "xvars": list(self.partition.xvars),
-            "yvars": list(self.partition.yvars),
-            "z_x": self.z_x,
-            "z_y": self.z_y,
-            "w_max": self.w_max,
-            "m_prime": self.m_prime,
-            "accepted": self.accepted,
-            "trials_used": self.trials_used,
-            "balance_slack": self.balance_slack,
-            "seed": self.seed,
-        }
-
 
 def heavy_partition_search(
     formula: CnfFormula,
@@ -501,19 +443,6 @@ class HeavySatReport:
     trials: int | None
     lll_reference: float
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "heavy_count": self.heavy_count,
-            "fraction": str(self.fraction)
-            if isinstance(self.fraction, Fraction)
-            else self.fraction,
-            "mode": self.mode,
-            "trials": self.trials,
-            "lll_reference": self.lll_reference,
-            "seed": self.seed,
-        }
 
 
 def heavy_sat_fraction(

@@ -48,6 +48,7 @@ from proofbench.cspsat import (
 )
 from proofbench.linear import LinearInequality
 from proofbench.protocol import (
+    full_history_masks,
     inequality_protocol,
     materialize_rectangle,
     real_protocol_eval,
@@ -63,7 +64,7 @@ from proofbench.randomcnf import (
     sample_f,
     unsat_rate,
 )
-from proofbench.semantics import SemanticLine
+from proofbench.semantics import SemanticLine, rectangle_bits
 
 MASTER_SEED = 20250809
 
@@ -278,6 +279,27 @@ def test_criterion_04_converse_extraction(compiled_batch):
     assert passed == 100
     assert elapsed < 60.0
     _report(4, f"{passed}/100 extractions validate in {elapsed:.1f}s")
+
+
+def test_criterion_04_extracted_trees_compute_their_lines(compiled_batch):
+    # Each gate's two-bit tree computes the gate's line: every history's
+    # rectangle is constant on the line, with the tree's output as value,
+    # and the four rectangles tile the whole space.
+    batch, _ = compiled_batch
+    checked = 0
+    for formula, part, _, result in batch:
+        extraction = extract_cc2_refutation(result.circuit, formula, part)
+        full = (1 << (1 << part.n)) - 1
+        for line, tree in zip(extraction.lines, extraction.trees):
+            covered = 0
+            for h, (xm, ym) in full_history_masks(tree).items():
+                rect = rectangle_bits(xm, ym, part.n2)
+                assert line.bits & rect == (rect if tree.output_at(h) else 0)
+                assert covered & rect == 0
+                covered |= rect
+            assert covered == full
+            checked += 1
+    _report(4, f"{checked} extracted trees compute their lines")
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +45,7 @@ from proofbench.cspsat import (
 from proofbench.errors import CapExceededError, CircuitTextError, SoundnessError
 from proofbench.gates import AndGate, ConstGate, InputGate, MonotoneCircuit, OrGate
 from proofbench.linear import LinearInequality
-from proofbench.protocol import clause_protocol, materialize_rectangle
+from proofbench.protocol import clause_protocol, constant_tree, materialize_rectangle
 from proofbench.semantics import SemanticLine
 
 COMPLETE_2CNF = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
@@ -205,6 +206,15 @@ class TestCompileContradiction:
         assert verify_separation(result.circuit, f, part).passed
 
 
+SWAPPED_SIDES = VariablePartition((2,), (1,))
+
+
+def _with_cc_line(cc, index, line):
+    lines = list(cc)
+    lines[index] = line
+    return lines
+
+
 class TestCompilePreconditions:
     def test_tampered_table_rejected(self):
         f, part, cc, _ = compile_complete()
@@ -253,6 +263,28 @@ class TestCompilePreconditions:
         ):
             compile_cc_refutation(bad, f, part)
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda cc: cc[:4], "refutation must contain the clauses and a final line"),
+            (lambda cc: _with_cc_line(cc, 4, CcLine(cc[4].table, cc[4].tree, axiom=5)),
+             "line 4: axiom index 5 out of range"),
+            (lambda cc: _with_cc_line(cc, 4, CcLine(cc[4].table, cc[4].tree, axiom=1)),
+             "line 4: table differs from clause 1"),
+            (lambda cc: _with_cc_line(cc, 4, replace(cc[4], premises=(4, 0))),
+             "line 4: premises must be earlier lines"),
+            (lambda cc: _with_cc_line(
+                cc, 6, replace(cc[6], tree=constant_tree(SWAPPED_SIDES, 0))
+            ), "line 6: protocol tree uses another partition"),
+        ],
+        ids=["short", "axiom-index", "axiom-table", "late-premise", "other-partition"],
+    )
+    def test_malformed_refutation_rejected(self, mutate, message):
+        f, part, cc, _ = compile_complete()
+        with pytest.raises(SoundnessError) as info:
+            compile_cc_refutation(mutate(cc), f, part)
+        assert str(info.value) == message
+
     def test_final_line_must_be_silent(self):
         f, part, cc, _ = compile_complete()
         bad = list(cc)
@@ -284,6 +316,24 @@ class TestCpProofCompilation:
             assert len(cc) == 5  # 2 clause axioms + 3 proof lines
             result = compile_cc_refutation(cc, f, part)
             assert verify_separation(result.circuit, f, part).passed
+
+    @pytest.mark.parametrize(
+        "proof, message",
+        [
+            (CpProof(formula_to_system(parse_dimacs(CONTRADICTION))[:1], ()),
+             "system size differs from the clause count"),
+            (CpProof(
+                formula_to_system(parse_dimacs(CONTRADICTION)),
+                (ProofLine(LinearInequality((1,), 1), Hypothesis(1)),),
+            ), "the proof never reaches a refutation terminal"),
+        ],
+        ids=["system-size", "no-terminal"],
+    )
+    def test_proof_shape_rejected(self, proof, message):
+        f = parse_dimacs(CONTRADICTION)
+        with pytest.raises(ValueError) as info:
+            cc_lines_from_cp_proof(f, VariablePartition((1,), ()), proof)
+        assert str(info.value) == message
 
 
 class TestHeterogeneousTrees:
@@ -343,14 +393,15 @@ class TestCpDivisionPipeline:
 
         report = check_cp_proof(proof)
         assert report.all_valid and report.is_refutation
-        part = VariablePartition((1,), (2,))
-        cc = cc_lines_from_cp_proof(f, part, proof)
-        # the doubled line announces sums in two bits: deeper stacked trees
-        assert max(line.tree.depth for line in cc) == 3
-        result = compile_cc_refutation(cc, f, part)
-        assert verify_separation(result.circuit, f, part).passed
-        extraction = extract_cc2_refutation(result.circuit, f, part)
-        assert extraction.report.all_ok
+        # the second partition names variables 3 and 4, which no line uses
+        for part in (VariablePartition((1,), (2,)), VariablePartition((1, 3), (2, 4))):
+            cc = cc_lines_from_cp_proof(f, part, proof)
+            # the doubled line announces sums in two bits: deeper stacked trees
+            assert max(line.tree.depth for line in cc) == 3
+            result = compile_cc_refutation(cc, f, part)
+            assert verify_separation(result.circuit, f, part).passed
+            extraction = extract_cc2_refutation(result.circuit, f, part)
+            assert extraction.report.all_ok
 
     def test_boolean_axiom_line_compiles(self):
         f = parse_dimacs(CONTRADICTION)

@@ -18,6 +18,41 @@ UNSAT3 = (
     "-1 2 3 0\n-1 2 -3 0\n-1 -2 3 0\n-1 -2 -3 0\n"
 )
 
+# A hand-written cutting-planes refutation of UNSAT3: resolve on x3 and then
+# on x2 by addition and division, once for each sign of x1, then add.
+UNSAT3_PROOF = """\
+1: 1 1 1 >= 1 ; hyp 1
+2: 1 1 -1 >= 0 ; hyp 2
+3: 2 2 0 >= 1 ; add 1 2
+4: 1 1 0 >= 1 ; div 3 2
+5: 1 -1 1 >= 0 ; hyp 3
+6: 1 -1 -1 >= -1 ; hyp 4
+7: 2 -2 0 >= -1 ; add 5 6
+8: 1 -1 0 >= 0 ; div 7 2
+9: 2 0 0 >= 1 ; add 4 8
+10: 1 0 0 >= 1 ; div 9 2
+11: -1 1 1 >= 0 ; hyp 5
+12: -1 1 -1 >= -1 ; hyp 6
+13: -2 2 0 >= -1 ; add 11 12
+14: -1 1 0 >= 0 ; div 13 2
+15: -1 -1 1 >= -1 ; hyp 7
+16: -1 -1 -1 >= -2 ; hyp 8
+17: -2 -2 0 >= -3 ; add 15 16
+18: -1 -1 0 >= -1 ; div 17 2
+19: -2 0 0 >= -1 ; add 14 18
+20: -1 0 0 >= 0 ; div 19 2
+21: 0 0 0 >= 1 ; add 10 20
+"""
+
+
+@pytest.fixture
+def unsat3(tmp_path):
+    cnf = tmp_path / "unsat3.cnf"
+    cnf.write_text(UNSAT3)
+    proof = tmp_path / "unsat3.cpp"
+    proof.write_text(UNSAT3_PROOF)
+    return cnf, proof
+
 
 @pytest.fixture
 def complete2(tmp_path):
@@ -146,6 +181,28 @@ class TestCompileChain:
             )
             == 0
         )
+
+    def test_compile_from_cp_proof_on_a_wider_partition(self, unsat3, tmp_path):
+        # variable 4 is in no clause, so it gets a zero coefficient on every
+        # proof line, as it gets no literal on the DPLL route
+        cnf, proof = unsat3
+        circuit, report = tmp_path / "c.mct", tmp_path / "r.json"
+        part = ["--partition", "x:1,3", "y:2,4"]
+        code = main(
+            ["compile", "--cnf", str(cnf), "--proof", str(proof), *part,
+             "--out", str(circuit), "--report", str(report)]
+        )
+        assert code == 0
+        data = read_report(report)
+        assert data["config"]["partition"] == {
+            "mode": "explicit", "xvars": [1, 3], "yvars": [2, 4]
+        }
+        assert data["results"]["refutation"] == {
+            "kind": "cp-proof", "path": str(proof), "length": 21
+        }
+        for command in ["verify-sep", "extract"]:
+            argv = [command, "--cnf", str(cnf), "--circuit", str(circuit), *part]
+            assert main(argv) == 0
 
     def test_compile_cap_error_names_proof_line(self, contra, tmp_path, capsys):
         # lines 3.. double x1 >= 1 up to 2^17 x1 >= 2^17; line 17 is the
@@ -429,23 +486,26 @@ class TestErrors:
         )
 
     @pytest.mark.parametrize(
-        "command", ["compile", "verify-sep", "extract", "roundtrip", "stats"]
+        "command",
+        ["compile", "compile --proof", "verify-sep", "extract", "roundtrip", "stats"],
     )
-    def test_partition_missing_a_variable_exits_2(self, tmp_path, capsys, command):
-        cnf = tmp_path / "unsat3.cnf"
-        cnf.write_text(UNSAT3)
+    def test_partition_missing_a_variable_exits_2(
+        self, unsat3, tmp_path, capsys, command
+    ):
+        cnf, proof = unsat3
         circuit = tmp_path / "c.mct"
         circuit.write_text("g0 = const0\noutput g0\n")
         out, report = tmp_path / "out.mct", tmp_path / "r.json"
         argv = {
             "compile": ["--out", str(out)],
+            "compile --proof": ["--out", str(out), "--proof", str(proof)],
             "verify-sep": ["--circuit", str(circuit)],
             "extract": ["--circuit", str(circuit)],
             "roundtrip": [],
             "stats": ["--stat", "heavy-sat", "--n", "3", "--d", "3", "--m", "8"],
         }[command]
         code = main(
-            [command, "--cnf", str(cnf), *argv, "--partition", "x:1", "y:2",
+            [command.split()[0], "--cnf", str(cnf), *argv, "--partition", "x:1", "y:2",
              "--report", str(report)]
         )
         assert code == 2

@@ -326,6 +326,12 @@ def first_unsat(count: int, sample, tag: str) -> list:
     return formulas
 
 
+def _with_resolution_line(refutation, index: int, **changes):
+    lines = list(refutation.lines)
+    lines[index] = replace(lines[index], **changes)
+    return replace(refutation, lines=tuple(lines))
+
+
 class TestResolutionFromDpll:
     def test_criterion_2_refutations_pinned(self):
         # the first 20 formulas of the acceptance suite's criterion-2 batch
@@ -386,6 +392,35 @@ class TestResolutionFromDpll:
             done += 1
             r = resolution_refutation_from_dpll(f)
             assert resolution_problems(r) == []
+
+    @pytest.mark.parametrize(
+        "mutate, problems",
+        [
+            (lambda r: replace(r, lines=r.lines[:3]),
+             ["refutation shorter than the clause list"]),
+            (lambda r: _with_resolution_line(r, 0, axiom=2), ["line 0 is not axiom 1"]),
+            (lambda r: _with_resolution_line(r, 0, literals=r.lines[1].literals),
+             ["line 0 differs from clause 1", "line 4: premises clash on [], pivot 2"]),
+            (lambda r: _with_resolution_line(r, 4, premises=None),
+             ["line 4 has no resolvent justification"]),
+            (lambda r: _with_resolution_line(r, 4, premises=(4, 0)),
+             ["line 4 references out-of-order premises"]),
+            (lambda r: _with_resolution_line(r, 4, pivot=1),
+             ["line 4: premises clash on [2], pivot 1"]),
+            (lambda r: _with_resolution_line(r, 5, literals=r.lines[3].literals),
+             ["line 5 is not the resolvent of its premises",
+              "line 6 is not the resolvent of its premises"]),
+            (lambda r: replace(r, lines=r.lines[:-1]),
+             ["final line is not the empty clause"]),
+        ],
+        ids=["short", "axiom-index", "axiom-clause", "no-premises", "late-premise",
+             "pivot", "resolvent", "final-line"],
+    )
+    def test_resolution_problems_names_each_defect(self, mutate, problems):
+        f = parse_dimacs("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
+        r = resolution_refutation_from_dpll(f)
+        assert resolution_problems(r) == []
+        assert resolution_problems(mutate(r)) == problems
 
     def test_lines_pass_semantic_steps(self):
         f = parse_dimacs("p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
