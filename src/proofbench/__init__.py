@@ -11,7 +11,6 @@ from .cnf import (
     brute_force_sat,
     clause_to_inequality,
     eval_clause,
-    eval_formula,
     formula_to_system,
     parse_dimacs,
     search_violation,

@@ -433,12 +433,27 @@ def compile_cc_refutation(
         j, k = ln.premises
         tj, tk = lines[j].tree, lines[k].tree
         dj, total = tj.depth, tj.depth + tk.depth
+        owners_j, preds_j = tj.owners, tj.preds
+        owners_k, preds_k = tk.owners, tk.preds
+        built_get = built.get
+        # A node's gate depends only on (prefix, xm, ym) and on the premises'
+        # gates, which are fixed while line i is built, so a repeated subtree
+        # is looked up instead of walked again; the gates it would intern
+        # already exist. With xm == 0 every leaf below is a premise gate or
+        # Const0, so ym does not matter. Recording walks every node.
+        memo: dict[tuple[str, int, int], int] | None = None if record_nodes else {}
 
         def node(prefix: str, xm: int, ym: int, h: str) -> int:
-            if len(prefix) == total:
-                gate = built.get((j, prefix[:dj]))
+            if memo is not None:
+                key = (prefix, xm, ym if xm else 0)
+                gate = memo.get(key)
+                if gate is not None:
+                    return gate
+            depth = len(prefix)
+            if depth == total:
+                gate = built_get((j, prefix[:dj]))
                 if gate is None:
-                    gate = built.get((k, prefix[dj:]))
+                    gate = built_get((k, prefix[dj:]))
                 if gate is None:
                     if xm == 0:
                         gate = builder.const(0)
@@ -450,12 +465,12 @@ def compile_cc_refutation(
                             f"stacked leaf {prefix!r} on a nonempty rectangle"
                         )
             else:
-                if len(prefix) < dj:
-                    owner = tj.owner_at(prefix)
-                    pred = tj.predicate_at(prefix)
+                if depth < dj:
+                    owner = owners_j[prefix]
+                    pred = preds_j[prefix]
                 else:
-                    owner = tk.owner_at(prefix[dj:])
-                    pred = tk.predicate_at(prefix[dj:])
+                    owner = owners_k[prefix[dj:]]
+                    pred = preds_k[prefix[dj:]]
                 if owner == ALICE:
                     g0 = node(prefix + "0", xm & ~pred & xfull, ym, h)
                     g1 = node(prefix + "1", xm & pred, ym, h)
@@ -464,8 +479,10 @@ def compile_cc_refutation(
                     g0 = node(prefix + "0", xm, ym & ~pred & yfull, h)
                     g1 = node(prefix + "1", xm, ym & pred, h)
                     gate = builder.gate_and(g0, g1)
-            if record_nodes:
+            if memo is None:
                 records.append(NodeRecord(i, h, prefix, gate, xm, ym))
+            else:
+                memo[key] = gate
             return gate
 
         for h, xm, ym in good_per_line[i]:

@@ -275,10 +275,6 @@ def eval_clause(clause: Clause, assignment: Assignment) -> bool:
     return False
 
 
-def eval_formula(formula: CnfFormula, assignment: Assignment) -> bool:
-    return all(eval_clause(c, assignment) for c in formula.clauses)
-
-
 def clause_to_inequality(clause: Clause, n: int) -> LinearInequality:
     """Encode a clause: +1 for positive literals, -1 for negated ones, and
     constant ``1 - #negated`` (the negation constants move to the right).

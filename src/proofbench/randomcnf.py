@@ -187,7 +187,7 @@ def expansion_report(
     if s_max > regime and not allow_beyond_regime:
         raise ValueError(
             f"s_max={s_max} is outside the checked regime (max {regime}); "
-            "pass allow_beyond_regime=True to override"
+            "pass --beyond-regime (allow_beyond_regime=True) to override"
         )
     var_sets = [c.vars for c in formula.clauses]
     m = len(var_sets)

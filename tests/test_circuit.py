@@ -1,5 +1,8 @@
+import hashlib
 import random
+import runpy
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +38,7 @@ from proofbench.cpproof import (
     CpProof,
     Hypothesis,
     ProofLine,
+    parse_cp_lines,
     resolution_refutation_from_dpll,
 )
 from proofbench.cspsat import (
@@ -46,10 +50,21 @@ from proofbench.errors import CapExceededError, CircuitTextError, SoundnessError
 from proofbench.gates import AndGate, ConstGate, InputGate, MonotoneCircuit, OrGate
 from proofbench.linear import LinearInequality
 from proofbench.protocol import clause_protocol, constant_tree, materialize_rectangle
+from proofbench.randomcnf import DistributionParams, derive_seed, sample_f
 from proofbench.semantics import SemanticLine
 
 COMPLETE_2CNF = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
 CONTRADICTION = "p cnf 1 2\n1 0\n-1 0\n"
+# The benchmark's cutting-planes generator, read with ``runpy`` (no bytecode
+# written): Cook-Coullard-Turan proofs of DPLL resolution refutations.
+CPGEN = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "perfbench" / "cpgen.py"),
+    run_name="perfbench_cpgen",
+)
+# sha256 over the serialized circuits of the CP-route batch below, recorded
+# before the stacked-tree walk was memoized: the memo must build the same
+# gates in the same order.
+CP_ROUTE_DIGEST = "c96d55cc0a1eb5c925b64dd9263809909511b81caa4737709c5e21f71e3b313d"
 
 
 def compile_complete(record_nodes=False):
@@ -635,3 +650,38 @@ class TestCircuitText:
             parse_circuit("g0 = const0\n")
         with pytest.raises(CircuitTextError):
             parse_circuit("g1 = const0\noutput g1\n")
+
+
+def cp_route_batch(count=6, n=8, m=60):
+    """Unsat random 3-CNFs on the alternating partition, each with the
+    compiler lines of its generated cutting-planes refutation.
+    """
+    part = VariablePartition.alternating(n)
+    batch, index = [], 0
+    while len(batch) < count:
+        f = sample_f(DistributionParams(m, n, 3, derive_seed(7, "cp-memo", index)))
+        index += 1
+        if count_satisfying(f):
+            continue
+        cp = CPGEN["resolution_to_cp"](resolution_refutation_from_dpll(f), n)
+        lines = parse_cp_lines(CPGEN["serialize"](cp), n)
+        proof = CpProof(formula_to_system(f), lines)
+        batch.append((f, part, cc_lines_from_cp_proof(f, part, proof)))
+    return batch
+
+
+class TestMemoizedWalk:
+    def test_matches_plain_walk_on_cp_proofs(self):
+        # record_nodes=True walks every stacked node without the memo; it is
+        # the reference for the memoized default path
+        texts = []
+        for f, part, cc in cp_route_batch():
+            fast = compile_cc_refutation(cc, f, part)
+            plain = compile_cc_refutation(cc, f, part, record_nodes=True)
+            text = serialize_circuit(fast.circuit)
+            assert text == serialize_circuit(plain.circuit)
+            assert fast.entries == plain.entries
+            assert verify_separation(fast.circuit, f, part).passed
+            texts.append(text)
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert digest == CP_ROUTE_DIGEST

@@ -413,6 +413,16 @@ class TestStats:
         assert not report.exists()
         assert message in capsys.readouterr().err
 
+    def test_expansion_beyond_regime_names_the_flag(self, tmp_path, capsys):
+        report = tmp_path / "stats.json"
+        code = main(
+            ["stats", "--stat", "expansion", "--n", "8", "--d", "3", "--m", "40",
+             "--s-max", "3", "--trials", "50", "--report", str(report)]
+        )
+        assert code == 2
+        assert not report.exists()
+        assert "--beyond-regime" in capsys.readouterr().err
+
     def test_heavy_partition_one_variable_exits_2(self, tmp_path, capsys):
         report = tmp_path / "hp.json"
         code = main(
