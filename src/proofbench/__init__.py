@@ -25,6 +25,7 @@ from .circuit import (
     eval_circuit,
     extract_cc2_refutation,
     parse_circuit,
+    roundtrip,
     serialize_circuit,
     verify_separation,
 )

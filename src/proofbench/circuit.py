@@ -1,5 +1,6 @@
 """Monotone circuits, the refutation-to-circuit compiler, separation
-checking, and the converse extraction of a two-bit-protocol refutation.
+checking, the converse extraction of a two-bit-protocol refutation, and the
+roundtrip that chains them.
 
 The compiler turns a semantic refutation whose lines carry protocol trees
 into an AND/OR circuit over truth-table input variables. For every line and
@@ -38,6 +39,7 @@ from .cpproof import (
     ResolutionRefutation,
     cp_lines_to_protocols,
     is_refutation_terminal,
+    resolution_refutation_from_dpll,
 )
 from .cspsat import CspSatInstance
 from .errors import SoundnessError
@@ -51,6 +53,7 @@ from .protocol import (
     clause_protocol,
     constant_tree,
     full_history_masks,
+    history_masks,
 )
 from .semantics import (
     SemanticLine,
@@ -68,6 +71,7 @@ __all__ = [
     "ExtractionReport",
     "MonotoneCircuit",
     "NodeRecord",
+    "RoundtripResult",
     "SeparationReport",
     "cc_lines_from_cp_proof",
     "cc_lines_from_resolution",
@@ -76,6 +80,7 @@ __all__ = [
     "eval_gates",
     "extract_cc2_refutation",
     "parse_circuit",
+    "roundtrip",
     "serialize_circuit",
     "side_values",
     "verify_separation",
@@ -581,31 +586,37 @@ class ExtractedRefutation:
 
 
 def extract_cc2_refutation(
-    circuit: MonotoneCircuit,
-    formula: CnfFormula,
-    part: VariablePartition,
-    require_separation: bool = True,
+    circuit: MonotoneCircuit, formula: CnfFormula, part: VariablePartition
 ) -> ExtractedRefutation:
-    """Read a refutation back out of a separating circuit.
+    """Read a refutation back out of a separating circuit; a circuit that
+    does not separate raises ``SoundnessError`` with its failing indices.
 
     Gate g becomes the line that is 0 exactly where g accepts U(x) and
     rejects V(y); Alice reports the first condition, Bob the second, so every
     line has a two-bit protocol. Leaf lines are entailed by their clause
     axioms and internal lines by their children's lines; the output gate's
     line is constant 0 exactly when the circuit separates.
-
-    With ``require_separation=False`` a non-separating circuit is processed
-    anyway and the report flags the non-constant root line.
     """
     val_u, val_v = side_values(circuit, formula, part)
-    if require_separation:
-        sep = _separation_report(val_u, val_v, circuit.output, part)
-        if not sep.passed:
-            raise SoundnessError(
-                f"circuit does not separate the instances "
-                f"(failing x={sep.failing_x}, y={sep.failing_y})"
-            )
+    sep = _separation_report(val_u, val_v, circuit.output, part)
+    if not sep.passed:
+        raise SoundnessError(
+            f"circuit does not separate the instances "
+            f"(failing x={sep.failing_x}, y={sep.failing_y})"
+        )
+    return _extract_from_masks(circuit, formula, part, val_u, val_v)
 
+
+def _extract_from_masks(
+    circuit: MonotoneCircuit,
+    formula: CnfFormula,
+    part: VariablePartition,
+    val_u: list[int],
+    val_v: list[int],
+) -> ExtractedRefutation:
+    """The extraction from ``side_values``' masks, separating or not; the
+    report flags every line that the masks do not entail.
+    """
     yfull = full_mask(1 << part.n2)
     full = full_mask(1 << part.n)
     lines: list[SemanticLine] = []
@@ -655,3 +666,55 @@ def extract_cc2_refutation(
         problems=tuple(problems),
     )
     return ExtractedRefutation(tuple(lines), tuple(trees), provenance, report)
+
+
+# --- the whole roundtrip -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RoundtripResult:
+    """Every stage of one roundtrip; without separation there is no claim
+    check (0 violations) and no extraction.
+    """
+
+    refutation: ResolutionRefutation
+    lines: tuple[CcLine, ...]
+    compiled: CompileResult
+    separation: SeparationReport
+    claim_violations: int
+    extraction: ExtractedRefutation | None
+
+
+def roundtrip(formula: CnfFormula, part: VariablePartition) -> RoundtripResult:
+    """DPLL refutation, protocol lines, compile, then separation, the claim
+    check and extraction, all read off one ``side_values`` pass.
+    """
+    refutation = resolution_refutation_from_dpll(formula)
+    lines = cc_lines_from_resolution(refutation, part)
+    compiled = compile_cc_refutation(lines, formula, part)
+    circuit = compiled.circuit
+    val_u, val_v = side_values(circuit, formula, part)
+    sep = _separation_report(val_u, val_v, circuit.output, part)
+    violations = 0
+    extraction = None
+    if sep.passed:
+        violations = _claim_violations(compiled, lines, val_u, val_v)
+        extraction = _extract_from_masks(circuit, formula, part, val_u, val_v)
+    return RoundtripResult(refutation, lines, compiled, sep, violations, extraction)
+
+
+def _claim_violations(
+    compiled: CompileResult,
+    lines: Sequence[CcLine],
+    val_u: list[int],
+    val_v: list[int],
+) -> int:
+    """Count (line, good history, input) triples where a stored subcircuit
+    misclassifies an instance from its own rectangle.
+    """
+    violations = 0
+    for entry in compiled.entries:
+        xm, ym = history_masks(lines[entry.line_index].tree, entry.history)
+        violations += (xm & ~val_u[entry.gate]).bit_count()
+        violations += (ym & val_v[entry.gate]).bit_count()
+    return violations

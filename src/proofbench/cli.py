@@ -333,45 +333,21 @@ def _sampled_formula(args, params) -> CnfFormula:
 
 def _cmd_roundtrip(args: argparse.Namespace) -> int:
     formula, part, config = _formula_inputs(args)
-    refutation = cpproof_mod.resolution_refutation_from_dpll(formula)
-    cc = circuit_mod.cc_lines_from_resolution(refutation, part)
-    result = circuit_mod.compile_cc_refutation(cc, formula, part)
-    sep = circuit_mod.verify_separation(result.circuit, formula, part)
-    claim_violations = 0
-    if sep.passed:
-        claim_violations = _claim_violations(result, cc, formula, part)
-        extraction = circuit_mod.extract_cc2_refutation(result.circuit, formula, part)
-        extraction_report = extraction.report
-    else:
-        extraction_report = None
+    rt = circuit_mod.roundtrip(formula, part)
+    extraction = rt.extraction.report if rt.extraction else None
     report = {
         "config": config,
         "results": {
-            "refutation_length": refutation.length,
-            "compile": _jsonable(result.report),
-            "separation": _jsonable(sep),
-            "claim_violations": claim_violations,
-            "extraction": _jsonable(extraction_report),
+            "refutation_length": rt.refutation.length,
+            "compile": _jsonable(rt.compiled.report),
+            "separation": _jsonable(rt.separation),
+            "claim_violations": rt.claim_violations,
+            "extraction": _jsonable(extraction),
         },
     }
     _write_report(report, args.report)
-    ok = sep.passed and claim_violations == 0 and extraction_report.all_ok
+    ok = rt.separation.passed and rt.claim_violations == 0 and extraction.all_ok
     return EXIT_PASS if ok else EXIT_FAIL
-
-
-def _claim_violations(result, cc, formula, part) -> int:
-    """Count (line, good history, input) triples where a stored subcircuit
-    misclassifies an instance from its own rectangle.
-    """
-    from .protocol import history_masks
-
-    val_u, val_v = circuit_mod.side_values(result.circuit, formula, part)
-    violations = 0
-    for entry in result.entries:
-        xm, ym = history_masks(cc[entry.line_index].tree, entry.history)
-        violations += (xm & ~val_u[entry.gate]).bit_count()
-        violations += (ym & val_v[entry.gate]).bit_count()
-    return violations
 
 
 def build_parser() -> argparse.ArgumentParser:

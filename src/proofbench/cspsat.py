@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .bitops import full_mask
 from .cnf import Assignment, CnfFormula, VariablePartition, eval_clause
-from .errors import CapExceededError, InstanceTextError, ScopeError
+from .errors import CapExceededError, ScopeError
 
 EVAL_CAP = 20
 EXACT_R_CAP = 3
@@ -298,52 +298,3 @@ def circuit_size_lower_bound(
     first = Fraction(u_size - 2 * s * a1_1, (2 * s) ** (r + 1) * a1_r)
     second = Fraction(v_size, (2 * r) ** (s + 1) * a0_s)
     return max(Fraction(0), min(first, second))
-
-
-# --- instance serialization --------------------------------------------------
-
-
-def serialize_instance(inst: CspSatInstance) -> str:
-    g = inst.graph
-    lines = [
-        f"csp-sat {g.m} {len(g.xvars)} 2",
-        "blocks " + " ".join(str(s) for s in g.block_sizes),
-    ]
-    for i in range(g.m):
-        lines.append("".join(str(bit) for bit in inst.block_bits(i)))
-    return "\n".join(lines) + "\n"
-
-
-def parse_instance(text: str, graph: ConstraintGraph) -> CspSatInstance:
-    rows = [r.strip() for r in text.splitlines() if r.strip()]
-    if not rows or not rows[0].startswith("csp-sat"):
-        raise InstanceTextError(1, "missing 'csp-sat' header")
-    head = rows[0].split()
-    if len(head) != 4:
-        raise InstanceTextError(1, "header needs m, x-side size, alphabet size")
-    try:
-        m, nx, a = (int(t) for t in head[1:])
-    except ValueError:
-        raise InstanceTextError(1, "header counts must be integers")
-    if (m, nx, a) != (graph.m, len(graph.xvars), 2):
-        raise InstanceTextError(1, "header does not match the topology")
-    if len(rows) < 2 or not rows[1].startswith("blocks"):
-        raise InstanceTextError(2, "missing 'blocks' line")
-    try:
-        sizes = tuple(int(t) for t in rows[1].split()[1:])
-    except ValueError:
-        raise InstanceTextError(2, "block sizes must be integers")
-    if sizes != graph.block_sizes:
-        raise InstanceTextError(2, "block sizes do not match the topology")
-    if len(rows) != 2 + m:
-        raise InstanceTextError(len(rows), f"expected {m} block rows")
-    bits = 0
-    pos = 0
-    for i, row in enumerate(rows[2:], start=3):
-        if len(row) != graph.block_sizes[i - 3] or set(row) - {"0", "1"}:
-            raise InstanceTextError(i, "block row must be 0/1 characters")
-        for ch in row:
-            if ch == "1":
-                bits |= 1 << pos
-            pos += 1
-    return CspSatInstance(graph, bits)

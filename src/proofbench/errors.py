@@ -48,7 +48,3 @@ class ProofTextError(TextFormatError):
 
 class CircuitTextError(TextFormatError):
     pass
-
-
-class InstanceTextError(TextFormatError):
-    pass

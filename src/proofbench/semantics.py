@@ -148,8 +148,3 @@ def check_semantic_step(f: SemanticLine, g: SemanticLine, h: SemanticLine) -> bo
     if not (f.n1 == g.n1 == h.n1 and f.n2 == g.n2 == h.n2):
         raise ValueError("semantic step requires identical table dimensions")
     return (f.bits & g.bits & ~h.bits) & full_mask(f.size) == 0
-
-
-def entailed_by_premise(premise: SemanticLine, line: SemanticLine) -> bool:
-    """Single-premise entailment, the degenerate two-premise step."""
-    return check_semantic_step(premise, premise, line)

@@ -73,6 +73,28 @@ def random_formula(
     return CnfFormula(n, tuple(clauses))
 
 
+def unsat_3cnfs() -> list[tuple[str, CnfFormula]]:
+    """Two unsatisfiable random 3-CNFs at each of n=8, 10, 12 (m=60, 90,
+    120), the first unsatisfiable draws of a seeded stream per size.
+    """
+    from proofbench.cnf import Clause, Literal
+
+    batch = []
+    for n, m in ((8, 60), (10, 90), (12, 120)):
+        rng = random.Random(n)
+        found = 0
+        while found < 2:
+            clauses = tuple(
+                Clause(tuple(Literal(v, rng.random() < 0.5) for v in sorted(vs)))
+                for vs in (rng.sample(range(1, n + 1), 3) for _ in range(m))
+            )
+            formula = CnfFormula(n, clauses)
+            if not count_satisfying(formula):
+                batch.append((f"n{n}-{found}", formula))
+                found += 1
+    return batch
+
+
 # --- raw rational arithmetic (numerator, denominator) -----------------------
 
 

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_satisfying, random_formula
+from helpers import count_satisfying, random_formula, unsat_3cnfs
 from proofbench.circuit import (
     CcLine,
     CircuitBuilder,
     SeparationReport,
+    _extract_from_masks,
     cc_lines_from_cp_proof,
     cc_lines_from_resolution,
     compile_cc_refutation,
@@ -20,6 +21,7 @@ from proofbench.circuit import (
     eval_gates,
     extract_cc2_refutation,
     parse_circuit,
+    roundtrip,
     serialize_circuit,
     side_values,
     verify_separation,
@@ -49,7 +51,12 @@ from proofbench.cspsat import (
 from proofbench.errors import CapExceededError, CircuitTextError, SoundnessError
 from proofbench.gates import AndGate, ConstGate, InputGate, MonotoneCircuit, OrGate
 from proofbench.linear import LinearInequality
-from proofbench.protocol import clause_protocol, constant_tree, materialize_rectangle
+from proofbench.protocol import (
+    clause_protocol,
+    constant_tree,
+    history_masks,
+    materialize_rectangle,
+)
 from proofbench.randomcnf import DistributionParams, derive_seed, sample_f
 from proofbench.semantics import SemanticLine
 
@@ -65,6 +72,8 @@ CPGEN = runpy.run_path(
 # before the stacked-tree walk was memoized: the memo must build the same
 # gates in the same order.
 CP_ROUTE_DIGEST = "c96d55cc0a1eb5c925b64dd9263809909511b81caa4737709c5e21f71e3b313d"
+# The complete 2-CNF and six unsatisfiable random 3-CNFs for the roundtrip.
+ROUNDTRIP_BATCH = [("complete2", parse_dimacs(COMPLETE_2CNF)), *unsat_3cnfs()]
 
 
 def compile_complete(record_nodes=False):
@@ -532,7 +541,7 @@ class TestSideValues:
 
         # extraction's line of gate g is 0 exactly where g accepts U(x) and
         # rejects V(y)
-        extraction = extract_cc2_refutation(circuit, f, part, require_separation=False)
+        extraction = _extract_from_masks(circuit, f, part, val_u, val_v)
         for g, line in enumerate(extraction.lines):
             bits = 0
             for x, uv in enumerate(u_vals):
@@ -549,7 +558,7 @@ class TestSideValues:
         for run in (
             lambda: side_values(circuit, f, part),
             lambda: verify_separation(circuit, f, part),
-            lambda: extract_cc2_refutation(circuit, f, part, require_separation=False),
+            lambda: extract_cc2_refutation(circuit, f, part),
         ):
             with pytest.raises(CapExceededError):
                 run()
@@ -568,7 +577,7 @@ class TestInputLayout:
         for run in (
             lambda: side_values(circuit, f, part),
             lambda: verify_separation(circuit, f, part),
-            lambda: extract_cc2_refutation(circuit, f, part, require_separation=False),
+            lambda: extract_cc2_refutation(circuit, f, part),
         ):
             with pytest.raises(ValueError, match="gate 1") as info:
                 run()
@@ -591,9 +600,8 @@ class TestExtraction:
         f = parse_dimacs(COMPLETE_2CNF)
         part = VariablePartition((1,), (2,))
         circuit = MonotoneCircuit((InputGate(1, (0,)),), 0)
-        extraction = extract_cc2_refutation(
-            circuit, f, part, require_separation=False
-        )
+        masks = side_values(circuit, f, part)
+        extraction = _extract_from_masks(circuit, f, part, *masks)
         # the leaf line is 0 exactly when x matches alpha and clause 1 fails
         line = extraction.lines[0]
         for x in range(2):
@@ -628,6 +636,83 @@ class TestExtraction:
             extraction = extract_cc2_refutation(result.circuit, f, part)
             assert extraction.report.all_ok
             assert extraction.report.line_count == result.circuit.gate_count
+
+    # Masks that side_values never produces, on the compiled complete 2-CNF
+    # circuit: g0 = in 1 0 (x = 0), g6 = const1, g7 = and g0 g6.
+    @pytest.mark.parametrize(
+        "side, gate, mask, flag, problem",
+        [
+            ("u", 0, 0b11, "leaf_entailments_ok",
+             "gate 0: line not entailed by clause axiom"),
+            ("v", 6, 0b01, "constant_lines_ok",
+             "gate 6: constant gate line is not constant 1"),
+            ("u", 7, 0b11, "internal_entailments_ok",
+             "gate 7: line not entailed by its children"),
+        ],
+        ids=["input-widened", "const-not-constant", "and-not-and"],
+    )
+    def test_inconsistent_masks_flagged(self, side, gate, mask, flag, problem):
+        f, part, _, result = compile_complete()
+        circuit = result.circuit
+        val_u, val_v = side_values(circuit, f, part)
+        assert _extract_from_masks(circuit, f, part, val_u, val_v).report.all_ok
+        masks = {"u": val_u, "v": val_v}
+        assert masks[side][gate] != mask
+        masks[side][gate] = mask
+        report = _extract_from_masks(circuit, f, part, val_u, val_v).report
+        assert report.problems == (problem,)
+        assert getattr(report, flag) is False
+        assert report.root_constant_zero
+        assert report.all_ok is False
+
+
+class TestRoundtrip:
+    """``roundtrip`` against the stages chained by hand, each computing its
+    own side masks.
+    """
+
+    @pytest.mark.parametrize(
+        "f", [f for _, f in ROUNDTRIP_BATCH], ids=[n for n, _ in ROUNDTRIP_BATCH]
+    )
+    def test_matches_hand_chained_stages(self, f):
+        part = VariablePartition.alternating(f.n)
+        rt = roundtrip(f, part)
+
+        refutation = resolution_refutation_from_dpll(f)
+        cc = cc_lines_from_resolution(refutation, part)
+        result = compile_cc_refutation(cc, f, part)
+        sep = verify_separation(result.circuit, f, part)
+        assert sep.passed
+        val_u, val_v = side_values(result.circuit, f, part)
+        violations = 0
+        for entry in result.entries:
+            xm, ym = history_masks(cc[entry.line_index].tree, entry.history)
+            violations += (xm & ~val_u[entry.gate]).bit_count()
+            violations += (ym & val_v[entry.gate]).bit_count()
+        extraction = extract_cc2_refutation(result.circuit, f, part)
+
+        assert rt.refutation == refutation
+        assert rt.lines == cc
+        assert rt.compiled == result
+        assert rt.separation == sep
+        assert rt.claim_violations == violations == 0
+        assert rt.extraction.report == extraction.report
+        assert rt.extraction.report.all_ok
+        assert rt.extraction.lines == extraction.lines
+        assert rt.extraction.provenance == extraction.provenance
+
+    def test_no_extraction_without_separation(self, monkeypatch):
+        f = parse_dimacs(COMPLETE_2CNF)
+        part = VariablePartition((1,), (2,))
+        one = MonotoneCircuit((ConstGate(1),), 0)
+        monkeypatch.setattr(
+            "proofbench.circuit.compile_cc_refutation",
+            lambda *args: replace(compile_cc_refutation(*args), circuit=one),
+        )
+        rt = roundtrip(f, part)
+        assert rt.separation == SeparationReport(False, 2, 2, None, 0)
+        assert rt.claim_violations == 0
+        assert rt.extraction is None
 
 
 class TestCircuitText:

@@ -1,14 +1,17 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import unsat_3cnfs
 from proofbench.cli import main
-from proofbench.cnf import parse_dimacs
+from proofbench.cnf import parse_dimacs, serialize_dimacs
 
 COMPLETE_2CNF = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
 CONTRADICTION = "p cnf 1 2\n1 0\n-1 0\n"
@@ -68,6 +71,13 @@ def contra(tmp_path):
     proof = tmp_path / "contra.cpp"
     proof.write_text(CONTRADICTION_PROOF)
     return cnf, proof
+
+
+# The complete 2-CNF and six unsatisfiable random 3-CNFs, and the sha256 of
+# their roundtrip reports in this order, recorded before the roundtrip moved
+# into the library: the reports must not change by a byte.
+ROUNDTRIP_BATCH = [("complete2", parse_dimacs(COMPLETE_2CNF)), *unsat_3cnfs()]
+ROUNDTRIP_DIGEST = "8047e332fba49ae6c3e75865415106759293e4d86edc516a5f02a3447ebf2ecd"
 
 
 def read_report(path):
@@ -298,6 +308,29 @@ class TestRoundtrip:
         assert (tmp_path / "r.json").read_bytes() == first
 
 
+    def test_reports_pinned_with_one_mask_pass(self, tmp_path, monkeypatch):
+        import proofbench.circuit as circuit_mod
+
+        side_values = circuit_mod.side_values
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return side_values(*args)
+
+        monkeypatch.setattr(circuit_mod, "side_values", counted)
+        monkeypatch.chdir(tmp_path)
+        digest = hashlib.sha256()
+        for name, formula in ROUNDTRIP_BATCH:
+            Path(f"{name}.cnf").write_text(serialize_dimacs(formula))
+            calls.clear()
+            argv = ["roundtrip", "--cnf", f"{name}.cnf", "--report", f"{name}.json"]
+            assert main(argv) == 0
+            assert len(calls) == 1, name
+            digest.update(Path(f"{name}.json").read_bytes())
+        assert digest.hexdigest() == ROUNDTRIP_DIGEST
+
+
 class TestSearchPartition:
     def test_roundtrip_with_search(self, tmp_path):
         from proofbench.randomcnf import DistributionParams, sample_f
@@ -523,6 +556,62 @@ class TestErrors:
         assert capsys.readouterr().err == (
             "proofbench: error: clause variable 3 is outside the partition\n"
         )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("g0 = const0\noutput g0 g0\n", "line 2: malformed output line"),
+            ("g0 = const0\noutput 0\n", "line 2: expected a gate reference, got '0'"),
+            ("g0 = const0\noutput gx\n", "line 2: bad gate reference 'gx'"),
+            ("g0 const0\noutput g0\n", "line 1: malformed gate line 'g0 const0'"),
+            ("h0 = const0\noutput g0\n", "line 1: malformed gate line 'h0 = const0'"),
+            ("g0 = const0\ng2 = const1\n", "line 2: expected gate index 1"),
+            ("g0 = in x 0\noutput g0\n", "line 1: bad constraint 'x'"),
+            ("g0 = in 1 02\noutput g0\n", "line 1: bad alpha bits '02'"),
+            ("g0 = const0\noutput g1\n", "line 1: output gate index out of range"),
+            ("g0 = const0\ng1 = or g0 g1\noutput g1\n",
+             "line 1: gate 1 references a later gate"),
+        ],
+        ids=["output-arity", "output-not-g", "output-bad-ref", "no-equals",
+             "head-not-g", "gate-index", "constraint", "alpha", "output-range",
+             "later-gate"],
+    )
+    def test_malformed_circuit_exits_2(
+        self, complete2, tmp_path, capsys, text, message
+    ):
+        circuit = tmp_path / "bad.mct"
+        circuit.write_text(text)
+        report = tmp_path / "r.json"
+        code = main(
+            ["verify-sep", "--cnf", str(complete2), "--circuit", str(circuit),
+             "--report", str(report)]
+        )
+        assert code == 2
+        assert not report.exists()
+        assert capsys.readouterr().err == f"proofbench: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf 1 1\np cnf 1 1\n1 0\n", "line 2: duplicate header"),
+            ("p cnf 1\n1 0\n", "line 1: malformed header 'p cnf 1'"),
+            ("p cnf a 1\n1 0\n", "line 1: malformed header 'p cnf a 1'"),
+            ("p cnf -1 1\n1 0\n", "line 1: header counts must be nonnegative"),
+            ("p cnf 1 1\n1 x 0\n", "line 2: bad token 'x'"),
+            ("p cnf 1 1\n0\n", "line 2: empty clause"),
+            ("", "line 1: missing header"),
+        ],
+        ids=["duplicate-header", "header-arity", "header-not-int", "negative-count",
+             "bad-token", "empty-clause", "empty-input"],
+    )
+    def test_malformed_dimacs_exits_2(self, tmp_path, capsys, text, message):
+        cnf = tmp_path / "bad.cnf"
+        cnf.write_text(text)
+        report = tmp_path / "r.json"
+        code = main(["roundtrip", "--cnf", str(cnf), "--report", str(report)])
+        assert code == 2
+        assert not report.exists()
+        assert capsys.readouterr().err == f"proofbench: error: {message}\n"
 
     @pytest.mark.parametrize("command", ["verify-sep", "extract"])
     def test_side_cap_exits_2(self, tmp_path, capsys, command):

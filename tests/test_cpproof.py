@@ -32,11 +32,7 @@ from proofbench.errors import ProofTextError, SatisfiableError
 from proofbench.linear import LinearInequality
 from proofbench.protocol import run_protocol
 from proofbench.randomcnf import DistributionParams, derive_seed, sample_f, sample_tensor
-from proofbench.semantics import (
-    SemanticLine,
-    check_semantic_step,
-    entailed_by_premise,
-)
+from proofbench.semantics import SemanticLine, check_semantic_step
 
 CONTRADICTION = "p cnf 1 2\n1 0\n-1 0\n"
 MASTER_SEED = 20250809  # the acceptance suite's master seed
@@ -509,5 +505,6 @@ def test_entailed_by_premise_helper():
     part = VariablePartition((1,), (2,))
     clause_line = SemanticLine.from_function(part, lambda a: a.bit(1) or a.bit(2))
     weaker = SemanticLine.constant(part, 1)
-    assert entailed_by_premise(clause_line, weaker)
-    assert not entailed_by_premise(weaker, clause_line)
+    # single-premise entailment is the two-premise step with the premise twice
+    assert check_semantic_step(clause_line, clause_line, weaker)
+    assert not check_semantic_step(weaker, weaker, clause_line)

@@ -26,12 +26,10 @@ from proofbench.cspsat import (
     build_constraint_graph,
     circuit_size_lower_bound,
     csp_sat_eval,
-    parse_instance,
     rejecting_images_distinct,
     rejecting_instance,
-    serialize_instance,
 )
-from proofbench.errors import CapExceededError, InstanceTextError, ScopeError
+from proofbench.errors import CapExceededError, ScopeError
 from proofbench.randomcnf import (
     DistributionParams,
     profile_distinctness,
@@ -353,41 +351,3 @@ class TestSizeLowerBound:
             circuit_size_lower_bound(2, 2, 1, 1, 1, 0, 1)
         with pytest.raises(ValueError):
             circuit_size_lower_bound(-1, 2, 1, 1, 1, 1, 1)
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        f, part, g = complete_setup()
-        v = rejecting_instance(g, f, part, Assignment.from_map({2: 0}))
-        text = serialize_instance(v)
-        again = parse_instance(text, g)
-        assert again == v
-
-    def test_header_mismatch(self):
-        f, part, g = complete_setup()
-        u = accepting_instance(g, Assignment.from_map({1: 0}))
-        other = ConstraintGraph((1,), ((1,), (1,)))
-        with pytest.raises(InstanceTextError):
-            parse_instance(serialize_instance(u), other)
-        # the third header field, the alphabet size, is always 2
-        text = serialize_instance(u)
-        assert text.startswith(f"csp-sat {g.m} {len(g.xvars)} 2\n")
-        with pytest.raises(InstanceTextError, match="does not match the topology"):
-            parse_instance(text.replace(" 2\n", " 3\n", 1), g)
-
-    def test_bad_block_row(self):
-        f, part, g = complete_setup()
-        u = accepting_instance(g, Assignment.from_map({1: 0}))
-        text = serialize_instance(u).replace("10", "1x", 1)
-        with pytest.raises(InstanceTextError):
-            parse_instance(text, g)
-
-    @pytest.mark.parametrize(
-        "text, line_no",
-        [("csp-sat a b c\n", 1), ("csp-sat 4 1 2\nblocks 2 x 2 2\n", 2)],
-    )
-    def test_non_integer_counts(self, text, line_no):
-        f, part, g = complete_setup()
-        with pytest.raises(InstanceTextError) as info:
-            parse_instance(text, g)
-        assert info.value.line_no == line_no
