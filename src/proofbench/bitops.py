@@ -9,6 +9,19 @@ def full_mask(nbits: int) -> int:
     return (1 << nbits) - 1
 
 
+def bit_plane(bit: int, nbits: int) -> int:
+    """The mask of the indices below 2^nbits whose bit ``bit`` is 1: one
+    period of w = 2^bit zeros and w ones, doubled until it spans them.
+    """
+    w = 1 << bit
+    mask = ((1 << w) - 1) << w
+    period = 2 * w
+    while period < 1 << nbits:
+        mask |= mask << period
+        period *= 2
+    return mask
+
+
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 

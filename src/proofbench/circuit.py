@@ -604,18 +604,20 @@ def extract_cc2_refutation(
             f"circuit does not separate the instances "
             f"(failing x={sep.failing_x}, y={sep.failing_y})"
         )
-    return _extract_from_masks(circuit, formula, part, val_u, val_v)
+    clause_tables = [SemanticLine.from_clause(c, part) for c in formula.clauses]
+    return _extract_from_masks(circuit, clause_tables, part, val_u, val_v)
 
 
 def _extract_from_masks(
     circuit: MonotoneCircuit,
-    formula: CnfFormula,
+    clause_tables: Sequence[SemanticLine],
     part: VariablePartition,
     val_u: list[int],
     val_v: list[int],
 ) -> ExtractedRefutation:
     """The extraction from ``side_values``' masks, separating or not; the
-    report flags every line that the masks do not entail.
+    report flags every line that the masks do not entail. ``clause_tables``
+    holds clause i's table at index i - 1.
     """
     yfull = full_mask(1 << part.n2)
     full = full_mask(1 << part.n)
@@ -634,14 +636,10 @@ def _extract_from_masks(
             provenance[g] = (gate.constraint, gate.alpha)
 
     problems: list[str] = []
-    clause_tables = {
-        i + 1: SemanticLine.from_clause(c, part)
-        for i, c in enumerate(formula.clauses)
-    }
     leaf_ok = internal_ok = const_ok = True
     for g, gate in enumerate(circuit.gates):
         if isinstance(gate, InputGate):
-            axiom = clause_tables[gate.constraint]
+            axiom = clause_tables[gate.constraint - 1]
             if not check_semantic_step(axiom, axiom, lines[g]):
                 leaf_ok = False
                 problems.append(f"gate {g}: line not entailed by clause axiom")
@@ -699,7 +697,9 @@ def roundtrip(formula: CnfFormula, part: VariablePartition) -> RoundtripResult:
     extraction = None
     if sep.passed:
         violations = _claim_violations(compiled, lines, val_u, val_v)
-        extraction = _extract_from_masks(circuit, formula, part, val_u, val_v)
+        # compile checked the first m lines' tables against the clauses
+        clause_tables = [ln.table for ln in lines[: formula.m]]
+        extraction = _extract_from_masks(circuit, clause_tables, part, val_u, val_v)
     return RoundtripResult(refutation, lines, compiled, sep, violations, extraction)
 
 

@@ -28,6 +28,10 @@ def serialize_circuit(circuit: MonotoneCircuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+_BINARY = {"and": AndGate, "or": OrGate}
+_CONSTS = {"const0": ConstGate(0), "const1": ConstGate(1)}
+
+
 def _gate_ref(token: str, line_no: int) -> int:
     if not token.startswith("g"):
         raise CircuitTextError(line_no, f"expected a gate reference, got {token!r}")
@@ -41,51 +45,57 @@ def parse_circuit(text: str) -> MonotoneCircuit:
     gates: list[Gate] = []
     output: int | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        if line.startswith("output"):
-            tokens = line.split()
+        if tokens[0].startswith("output"):
             if len(tokens) != 2:
                 raise CircuitTextError(line_no, "malformed output line")
             output = _gate_ref(tokens[1], line_no)
             continue
-        head, _, body = line.partition("=")
-        head = head.strip()
-        if not head.startswith("g") or not body:
-            raise CircuitTextError(line_no, f"malformed gate line {line!r}")
-        idx = _gate_ref(head, line_no)
+        if len(tokens) < 3 or tokens[1] != "=" or "=" in tokens[0]:
+            # The line splits at its first "=", wherever that falls.
+            head, _, body = raw.partition("=")
+            tokens = [head.strip(), "=", *body.split()]
+        head = tokens[0]
+        if not head.startswith("g") or len(tokens) < 3:
+            raise CircuitTextError(line_no, f"malformed gate line {raw.strip()!r}")
+        try:
+            idx = int(head[1:])
+        except ValueError:
+            idx = _gate_ref(head, line_no)  # raises the precise error
         if idx != len(gates):
             raise CircuitTextError(line_no, f"expected gate index {len(gates)}")
-        tokens = body.split()
-        kind = tokens[0]
-        if kind == "in" and len(tokens) == 3:
+        kind = tokens[2]
+        if kind in _BINARY and len(tokens) == 5:
+            left, right = tokens[3], tokens[4]
             try:
-                constraint = int(tokens[1])
+                if left[0] != "g" or right[0] != "g":
+                    raise ValueError
+                gate: Gate = _BINARY[kind](int(left[1:]), int(right[1:]))
             except ValueError:
-                raise CircuitTextError(line_no, f"bad constraint {tokens[1]!r}")
-            alpha_text = tokens[2]
+                # Re-read the references one at a time for the precise error.
+                refs = _gate_ref(left, line_no), _gate_ref(right, line_no)
+                gate = _BINARY[kind](*refs)
+        elif kind == "in" and len(tokens) == 5:
+            try:
+                constraint = int(tokens[3])
+            except ValueError:
+                raise CircuitTextError(line_no, f"bad constraint {tokens[3]!r}")
+            alpha_text = tokens[4]
             if alpha_text == "-":
                 alpha: tuple[int, ...] = ()
             elif set(alpha_text) <= {"0", "1"}:
-                alpha = tuple(int(ch) for ch in alpha_text)
+                alpha = tuple(map(int, alpha_text))
             else:
                 raise CircuitTextError(line_no, f"bad alpha bits {alpha_text!r}")
-            gates.append(InputGate(constraint, alpha))
-        elif kind == "and" and len(tokens) == 3:
-            gates.append(
-                AndGate(_gate_ref(tokens[1], line_no), _gate_ref(tokens[2], line_no))
-            )
-        elif kind == "or" and len(tokens) == 3:
-            gates.append(
-                OrGate(_gate_ref(tokens[1], line_no), _gate_ref(tokens[2], line_no))
-            )
-        elif kind == "const0" and len(tokens) == 1:
-            gates.append(ConstGate(0))
-        elif kind == "const1" and len(tokens) == 1:
-            gates.append(ConstGate(1))
+            gate = InputGate(constraint, alpha)
+        elif kind in _CONSTS and len(tokens) == 3:
+            gate = _CONSTS[kind]
         else:
-            raise CircuitTextError(line_no, f"unknown gate form {body.strip()!r}")
+            body = raw.partition("=")[2].strip()
+            raise CircuitTextError(line_no, f"unknown gate form {body!r}")
+        gates.append(gate)
     if output is None:
         raise CircuitTextError(1, "missing output line")
     try:

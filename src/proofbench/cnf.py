@@ -10,6 +10,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
+from .bitops import bit_plane
 from .errors import CapExceededError, DimacsError, NoViolationError, ScopeError
 from .linear import LinearInequality
 
@@ -229,20 +230,13 @@ class VariablePartition:
     @cached_property
     def var_masks(self) -> dict[int, int]:
         """Per variable, the mask of its side's indices where it is 1, in
-        ``Assignment.from_index`` order (first variable most significant):
-        one period of w zeros and w ones, doubled until it spans the side.
+        ``Assignment.from_index`` order (first variable most significant).
         """
         masks = {}
         for side in (self.xvars, self.yvars):
             k = len(side)
             for p, v in enumerate(side):
-                w = 1 << (k - 1 - p)
-                mask = ((1 << w) - 1) << w
-                period = 2 * w
-                while period < 1 << k:
-                    mask |= mask << period
-                    period *= 2
-                masks[v] = mask
+                masks[v] = bit_plane(k - 1 - p, k)
         return masks
 
     def partial_sums(self, coeffs: Sequence[int]) -> tuple[list[int], list[int]]:

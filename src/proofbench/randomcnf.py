@@ -13,10 +13,13 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping
 
+from .bitops import bit_plane, full_mask, iter_bits
 from .cnf import (
     SOLVER_CAP,
     Clause,
@@ -162,6 +165,33 @@ def expansion_regime_max_size(n: int, d: int) -> int:
     return int(n / (math.e * d * d))
 
 
+def _min_pair_union(var_sets: list[frozenset[int]]) -> int:
+    """The fewest variables any two of (at least two) clauses cover.
+
+    A pair sharing c variables covers |A| + |B| - c; those pairs come from
+    per-variable occurrence lists. A disjoint pair covers |A| + |B|, so for
+    each clause the first disjoint partner in size order is the only one
+    that can lower the minimum.
+    """
+    order = sorted(var_sets, key=len)
+    widths = [len(vs) for vs in order]
+    best = widths[-1] + widths[-2]
+    later: dict[int, list[int]] = {}  # variable -> positions after p
+    for p in range(len(order) - 1, -1, -1):
+        w = widths[p]
+        shared = Counter(chain.from_iterable(later.get(v, ()) for v in order[p]))
+        if shared:
+            best = min(best, min(w + widths[q] - c for q, c in shared.items()))
+        for q in range(p + 1, len(order)):
+            if w + widths[q] >= best:
+                break
+            if q not in shared:
+                best = w + widths[q]  # and the next q breaks: widths ascend
+        for v in order[p]:
+            later.setdefault(v, []).append(p)
+    return best
+
+
 def expansion_report(
     formula: CnfFormula,
     epsilon: Fraction,
@@ -172,7 +202,9 @@ def expansion_report(
 ) -> ExpansionReport:
     """Minimum variable coverage of clause subsets of each size s <= s_max,
     against the threshold (1 - epsilon) * d * s. Sizes up to
-    ``EXPANSION_EXACT_UP_TO`` are exhausted, larger ones sampled.
+    ``EXPANSION_EXACT_UP_TO`` are exact, larger ones sampled. Size 2 is exact
+    without visiting every pair: only pairs that share a variable, found
+    through occurrence lists, can cover fewer than their widths' sum.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
@@ -204,11 +236,7 @@ def expansion_report(
             if s == 1:
                 min_vars = min(len(vs) for vs in var_sets)
             else:
-                min_vars = min(
-                    len(var_sets[i] | var_sets[j])
-                    for i in range(m)
-                    for j in range(i + 1, m)
-                )
+                min_vars = _min_pair_union(var_sets)
             mode, used = "exact", None
         else:
             rng = random.Random(derive_seed(seed, "expansion", s))
@@ -270,10 +298,13 @@ def profile_distinctness(
 ) -> ProfileReport:
     """Whether distinct assignments falsify distinct clause sets.
 
-    Exact mode enumerates all 2^n assignments, filling profiles clause by
-    clause (each clause's falsifying set is a subcube); equality of the
-    frozen index sets confirms collisions exactly. Sampled mode compares
-    random assignment pairs.
+    Exact mode covers all 2^n assignments. It splits them, clause by clause,
+    into classes that falsify the same clauses so far, and drops a class as
+    soon as it holds one assignment. Every pair in a final class collides:
+    ``collisions`` is the sum of (class size - 1), and the witness is the
+    lowest two assignments of the class whose second lowest is smallest,
+    the first repeat in index order. Sampled mode compares random
+    assignment pairs.
     """
     n = formula.n
     position = {v: v - 1 for v in range(1, n + 1)}
@@ -281,29 +312,27 @@ def profile_distinctness(
     if mode == "exact":
         if n > EXACT_CAP:
             raise CapExceededError(f"exact profiles need n <= {EXACT_CAP}, got {n}")
-        profiles: list[list[int]] = [[] for _ in range(1 << n)]
-        all_vars = (1 << n) - 1
-        for i, (mask, pattern) in enumerate(masks):
-            # Falsifying assignments form a subcube: pattern on the clause's
-            # variables, anything elsewhere. Walk its submasks directly.
-            free = all_vars & ~mask
-            sub = free
-            while True:
-                profiles[pattern | sub].append(i)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & free
-        seen: dict[tuple[int, ...], int] = {}
-        collisions = 0
-        witness = None
-        for alpha, profile in enumerate(profiles):
-            key = tuple(profile)  # indices arrive in increasing order
-            if key in seen:
-                collisions += 1
-                if witness is None:
-                    witness = (seen[key], alpha)
-            else:
-                seen[key] = alpha
+        # Classes of assignments with equal profiles so far, each in
+        # increasing order; a class of one can never collide and is dropped.
+        classes = [list(range(1 << n))] if n else []
+        for mask, pattern in masks:
+            if not classes:
+                break
+            refined = []
+            for cls in classes:
+                hit = [a for a in cls if a & mask == pattern]
+                if not hit or len(hit) == len(cls):
+                    refined.append(cls)
+                    continue
+                if len(hit) > 1:
+                    refined.append(hit)
+                if len(cls) - len(hit) > 1:
+                    refined.append([a for a in cls if a & mask != pattern])
+            classes = refined
+        collisions = sum(len(cls) - 1 for cls in classes)
+        witness = min(
+            ((cls[0], cls[1]) for cls in classes), key=lambda w: w[1], default=None
+        )
         return ProfileReport(
             "exact", collisions == 0, 1 << n, collisions, witness, seed
         )
@@ -457,6 +486,10 @@ def heavy_sat_fraction(
     """Fraction of side assignments whose literals satisfy every heavy clause
     of that side. The report carries exp(-n / (50 d)) as the existential
     reference bound for comparison in the intended regime.
+
+    Exact mode counts the 2^k side points outside the union of the heavy
+    clauses' falsifying subcubes, each a 2^k-bit mask built from
+    ``bit_plane``s. Sampled mode tests random side points.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
@@ -483,11 +516,14 @@ def heavy_sat_fraction(
             raise CapExceededError(
                 f"exact mode needs side size <= {EXACT_CAP}, got {k}"
             )
-        good = sum(
-            1
-            for a in range(1 << k)
-            if all(a & mask != pattern for mask, pattern in checks)
-        )
+        planes = [bit_plane(p, k) for p in range(k)]
+        falsified = 0
+        for mask, pattern in checks:
+            cube = full_mask(1 << k)
+            for p in iter_bits(mask):
+                cube &= planes[p] if pattern >> p & 1 else ~planes[p]
+            falsified |= cube
+        good = (1 << k) - falsified.bit_count()
         fraction: Fraction | float = Fraction(good, 1 << k)
         used = None
     elif mode == "sampled":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 from proofbench.cnf import Assignment, CnfFormula
@@ -147,3 +148,76 @@ def good_histories_oracle(tree, line, part) -> list[str]:
         if all(line.value(x, y) == 0 for x, y in pairs):
             goods.append(h)
     return goods
+
+
+# --- report kernel oracles -----------------------------------------------------
+# The exhaustive loops that the stats reports ran before their kernels.
+
+
+def min_pair_union_oracle(var_sets: list[frozenset[int]]) -> int:
+    """The expansion report's size-2 minimum: every pair's union."""
+    m = len(var_sets)
+    return min(
+        len(var_sets[i] | var_sets[j])
+        for i in range(m)
+        for j in range(i + 1, m)
+    )
+
+
+def profile_oracle(formula: CnfFormula) -> tuple[int, tuple[int, int] | None]:
+    """(collisions, witness) of the exact profiles report: one profile list
+    per assignment, filled clause by clause, then compared in index order.
+    """
+    n = formula.n
+    masks = clause_bitmasks(formula)
+    profiles: list[list[int]] = [[] for _ in range(1 << n)]
+    all_vars = (1 << n) - 1
+    for i, (mask, pattern) in enumerate(masks):
+        # Falsifying assignments form a subcube: pattern on the clause's
+        # variables, anything elsewhere. Walk its submasks directly.
+        free = all_vars & ~mask
+        sub = free
+        while True:
+            profiles[pattern | sub].append(i)
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+    seen: dict[tuple[int, ...], int] = {}
+    collisions = 0
+    witness = None
+    for alpha, profile in enumerate(profiles):
+        key = tuple(profile)  # indices arrive in increasing order
+        if key in seen:
+            collisions += 1
+            if witness is None:
+                witness = (seen[key], alpha)
+        else:
+            seen[key] = alpha
+    return collisions, witness
+
+
+def heavy_sat_oracle(formula: CnfFormula, part, side: str, epsilon) -> Fraction:
+    """The exact heavy-sat fraction: every side assignment against every
+    heavy clause, bit i of an assignment being the i-th side variable.
+    """
+    side_vars = part.xvars if side == "x" else part.yvars
+    side_set = set(side_vars)
+    cut = (1 - Fraction(epsilon)) * formula.width
+    position = {v: i for i, v in enumerate(side_vars)}
+    checks = []
+    for clause in formula.clauses:
+        on_side = [lit for lit in clause.literals if lit.var in side_set]
+        if len(on_side) > cut:
+            mask = pattern = 0
+            for lit in on_side:
+                mask |= 1 << position[lit.var]
+                if lit.negated:
+                    pattern |= 1 << position[lit.var]
+            checks.append((mask, pattern))
+    k = len(side_vars)
+    good = sum(
+        1
+        for a in range(1 << k)
+        if all(a & mask != pattern for mask, pattern in checks)
+    )
+    return Fraction(good, 1 << k)

@@ -490,7 +490,7 @@ def test_criterion_08_distinct_profiles():
         distinct_runs += report.distinct
     elapsed = time.perf_counter() - t0
     assert distinct_runs >= 19
-    assert elapsed < 30.0
+    assert elapsed < 2.5
     _report(8, f"{distinct_runs}/20 runs distinct in {elapsed:.1f}s")
 
 
@@ -513,7 +513,7 @@ def test_criterion_09_expansion():
     assert [r.mode for r in report.rows] == ["exact"] * 2 + ["sampled"] * 8
     for row in report.rows:
         assert row.min_vars >= 3 * row.size  # (1 - 1/2) * 6 * s
-    assert elapsed < 60.0
+    assert elapsed < 5.0
     _report(9, f"sizes 1..10 all pass in {elapsed:.1f}s")
 
 

@@ -85,6 +85,10 @@ def compile_complete(record_nodes=False):
     return f, part, cc, result
 
 
+def clause_tables(f, part):
+    return [SemanticLine.from_clause(c, part) for c in f.clauses]
+
+
 def instance_gate_values(circuit, f, part):
     """Every gate's value on every U(x) and V(y), from the built instances."""
     graph = build_constraint_graph(f, part)
@@ -541,7 +545,8 @@ class TestSideValues:
 
         # extraction's line of gate g is 0 exactly where g accepts U(x) and
         # rejects V(y)
-        extraction = _extract_from_masks(circuit, f, part, val_u, val_v)
+        tables = clause_tables(f, part)
+        extraction = _extract_from_masks(circuit, tables, part, val_u, val_v)
         for g, line in enumerate(extraction.lines):
             bits = 0
             for x, uv in enumerate(u_vals):
@@ -601,7 +606,7 @@ class TestExtraction:
         part = VariablePartition((1,), (2,))
         circuit = MonotoneCircuit((InputGate(1, (0,)),), 0)
         masks = side_values(circuit, f, part)
-        extraction = _extract_from_masks(circuit, f, part, *masks)
+        extraction = _extract_from_masks(circuit, clause_tables(f, part), part, *masks)
         # the leaf line is 0 exactly when x matches alpha and clause 1 fails
         line = extraction.lines[0]
         for x in range(2):
@@ -655,11 +660,12 @@ class TestExtraction:
         f, part, _, result = compile_complete()
         circuit = result.circuit
         val_u, val_v = side_values(circuit, f, part)
-        assert _extract_from_masks(circuit, f, part, val_u, val_v).report.all_ok
+        tables = clause_tables(f, part)
+        assert _extract_from_masks(circuit, tables, part, val_u, val_v).report.all_ok
         masks = {"u": val_u, "v": val_v}
         assert masks[side][gate] != mask
         masks[side][gate] = mask
-        report = _extract_from_masks(circuit, f, part, val_u, val_v).report
+        report = _extract_from_masks(circuit, tables, part, val_u, val_v).report
         assert report.problems == (problem,)
         assert getattr(report, flag) is False
         assert report.root_constant_zero

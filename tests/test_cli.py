@@ -399,6 +399,25 @@ class TestStats:
         assert code == 0
         assert "distinct" in read_report(report)["results"]
 
+    @pytest.mark.parametrize("stat", ["profiles", "heavy-sat", "heavy-partition"])
+    def test_tensor_without_cnf_matches_gen(self, tmp_path, stat):
+        # stats samples the tensor formula itself; the same draw written by
+        # gen and read back with --cnf gives the same results
+        sizes = ["--n", "5", "--d", "2", "--m", "40", "--seed", "3"]
+        extra = ["--stat", stat, "--trials", "200"]
+        cnf = tmp_path / "tensor.cnf"
+        assert main(["gen", "--dist", "tensor", *sizes, "--out", str(cnf),
+                     "--report", str(tmp_path / "gen.json")]) == 0
+        sampled, loaded = tmp_path / "sampled.json", tmp_path / "loaded.json"
+        assert main(["stats", *extra, "--dist", "tensor", *sizes,
+                     "--report", str(sampled)]) == 0
+        assert main(["stats", *extra, "--cnf", str(cnf), *sizes,
+                     "--report", str(loaded)]) == 0
+        results = read_report(sampled)["results"]
+        assert results == read_report(loaded)["results"]
+        if stat == "profiles":
+            assert (results["rows_checked"], results["collisions"]) == (1024, 521)
+
 
     @pytest.mark.parametrize(
         "args",

@@ -4,9 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import count_satisfying
-from proofbench.cnf import Clause, CnfFormula, VariablePartition, parse_dimacs
+from helpers import (
+    count_satisfying,
+    heavy_sat_oracle,
+    min_pair_union_oracle,
+    profile_oracle,
+)
+from proofbench.cnf import Clause, CnfFormula, Literal, VariablePartition, parse_dimacs
 from proofbench.errors import CapExceededError, ScopeError
 from proofbench.randomcnf import (
     DistributionParams,
@@ -412,3 +419,92 @@ class TestHeavySatFraction:
         part = VariablePartition((1, 2, 3), (4,))
         with pytest.raises(ValueError, match="strictly between 0 and 1"):
             heavy_sat_fraction(f, part, "x", Fraction(epsilon))
+
+
+# --- the exact kernels against the loops they replaced ---------------------------
+
+
+@st.composite
+def ragged_formulas(draw, max_n=7, max_m=10):
+    """Formulas of mixed clause widths. Clauses are drawn from a small pool,
+    so repeats are common, and optionally all of them share variable 1.
+    """
+    n = draw(st.integers(0, max_n))
+    if n == 0:
+        return CnfFormula(0, ())
+    shared = draw(st.booleans())
+
+    @st.composite
+    def clauses(draw):
+        variables = draw(st.sets(st.integers(1, n), min_size=1, max_size=n))
+        if shared:
+            variables.add(1)
+        return Clause(tuple(Literal(v, draw(st.booleans())) for v in sorted(variables)))
+
+    pool = draw(st.lists(clauses(), min_size=1, max_size=max_m))
+    chosen = draw(st.lists(st.sampled_from(pool), max_size=max_m))
+    return CnfFormula(n, tuple(chosen))
+
+
+def _formula(n, *clauses):
+    return CnfFormula(n, tuple(Clause.from_signed(c) for c in clauses))
+
+
+SHARED_VAR = _formula(5, [1, 2], [-1, 3, 4], [1, -5], [-1, 2, 3, 4, 5], [1])
+REPEATED = _formula(4, [1, -2], [1, -2], [3], [3], [-2, 4])
+SINGLE = _formula(3, [1, -2, 3])
+
+
+class TestKernelsMatchOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(ragged_formulas())
+    @example(SHARED_VAR)
+    @example(REPEATED)
+    @example(_formula(3, [1, 2, 3], [-1, -2, -3]))
+    @example(_formula(5, [1, 2], [1, 3], [4, 5]))  # a shared pair beats the disjoint
+    @example(_formula(5, [1], [-2], [3, 4, 5]))  # only a disjoint pair reaches 2
+    def test_min_pair_union(self, f):
+        if f.m < 2:
+            return
+        report = expansion_report(f, Fraction(1, 2), 2, allow_beyond_regime=True)
+        var_sets = [c.vars for c in f.clauses]
+        assert report.rows[1].min_vars == min_pair_union_oracle(var_sets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ragged_formulas())
+    @example(CnfFormula(0, ()))
+    @example(CnfFormula(4, ()))
+    @example(SINGLE)
+    @example(SHARED_VAR)
+    @example(REPEATED)
+    def test_profiles(self, f):
+        report = profile_distinctness(f)
+        assert report.rows_checked == 1 << f.n
+        assert (report.collisions, report.witness) == profile_oracle(f)
+        assert report.distinct == (report.collisions == 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ragged_formulas(),
+        st.randoms(use_true_random=False),
+        st.sampled_from("xy"),
+        st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]),
+    )
+    @example(CnfFormula(0, ()), random.Random(0), "x", Fraction(1, 2))
+    @example(SINGLE, random.Random(0), "y", Fraction(1, 4))
+    @example(SHARED_VAR, random.Random(1), "x", Fraction(1, 2))
+    @example(REPEATED, random.Random(2), "y", Fraction(3, 4))
+    def test_heavy_sat(self, f, rng, side, epsilon):
+        # a random partition, one side possibly empty (k = 0)
+        variables = list(range(1, f.n + 1))
+        rng.shuffle(variables)
+        cut = rng.randint(0, f.n)
+        part = VariablePartition(tuple(variables[:cut]), tuple(variables[cut:]))
+        report = heavy_sat_fraction(f, part, side, epsilon)
+        assert report.fraction == heavy_sat_oracle(f, part, side, epsilon)
+
+    def test_empty_side(self):
+        f = _formula(3, [1, -2, 3], [2])
+        part = VariablePartition((), (1, 2, 3))
+        report = heavy_sat_fraction(f, part, "x", Fraction(1, 2))
+        assert report.heavy_count == 0 and report.fraction == 1
