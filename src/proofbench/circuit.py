@@ -47,13 +47,13 @@ from .gates import AndGate, ConstGate, Gate, InputGate, MonotoneCircuit, OrGate
 from .linear import LinearInequality
 from .protocol import (
     ALICE,
-    BOB,
     ProtocolTree,
     check_side_cap,
     clause_protocol,
     constant_tree,
     full_history_masks,
     history_masks,
+    two_bit_protocol,
 )
 from .semantics import (
     SemanticLine,
@@ -577,12 +577,24 @@ class ExtractionReport:
 
 @dataclass(frozen=True)
 class ExtractedRefutation:
-    """One semantic line per gate, in gate order, with two-bit protocols."""
+    """One line per gate: gate g's line is 0 exactly where g accepts U(x) and
+    rejects V(y). Tables and two-bit trees are built on request.
+    """
 
-    lines: tuple[SemanticLine, ...]
-    trees: tuple[ProtocolTree, ...]
-    provenance: dict[int, tuple[int, tuple[int, ...]]]
+    part: VariablePartition
+    val_u: tuple[int, ...]
+    val_v: tuple[int, ...]
     report: ExtractionReport
+
+    def line(self, g: int) -> SemanticLine:
+        n1, n2 = self.part.n1, self.part.n2
+        zero = rectangle_bits(self.val_u[g], full_mask(1 << n2) ^ self.val_v[g], n2)
+        return SemanticLine(n1, n2, full_mask(1 << (n1 + n2)) ^ zero)
+
+    def tree(self, g: int) -> ProtocolTree:
+        """Alice sends 0 iff g accepts U(x), Bob 0 iff g rejects V(y)."""
+        xfull = full_mask(1 << self.part.n1)
+        return two_bit_protocol(self.part, xfull ^ self.val_u[g], self.val_v[g])
 
 
 def extract_cc2_refutation(
@@ -591,11 +603,9 @@ def extract_cc2_refutation(
     """Read a refutation back out of a separating circuit; a circuit that
     does not separate raises ``SoundnessError`` with its failing indices.
 
-    Gate g becomes the line that is 0 exactly where g accepts U(x) and
-    rejects V(y); Alice reports the first condition, Bob the second, so every
-    line has a two-bit protocol. Leaf lines are entailed by their clause
-    axioms and internal lines by their children's lines; the output gate's
-    line is constant 0 exactly when the circuit separates.
+    Leaf lines are entailed by their clause axioms and internal lines by
+    their children's lines; the output gate's line is constant 0 exactly
+    when the circuit separates.
     """
     val_u, val_v = side_values(circuit, formula, part)
     sep = _separation_report(val_u, val_v, circuit.output, part)
@@ -604,58 +614,48 @@ def extract_cc2_refutation(
             f"circuit does not separate the instances "
             f"(failing x={sep.failing_x}, y={sep.failing_y})"
         )
-    clause_tables = [SemanticLine.from_clause(c, part) for c in formula.clauses]
-    return _extract_from_masks(circuit, clause_tables, part, val_u, val_v)
+    return _extract_from_masks(circuit, formula, part, val_u, val_v)
 
 
 def _extract_from_masks(
     circuit: MonotoneCircuit,
-    clause_tables: Sequence[SemanticLine],
+    formula: CnfFormula,
     part: VariablePartition,
-    val_u: list[int],
-    val_v: list[int],
+    val_u: Sequence[int],
+    val_v: Sequence[int],
 ) -> ExtractedRefutation:
     """The extraction from ``side_values``' masks, separating or not; the
-    report flags every line that the masks do not entail. ``clause_tables``
-    holds clause i's table at index i - 1.
+    report flags every line that the masks do not entail. Each check is a
+    cover of a line's 0-set, the rectangle ``zero[g]``, with no table.
     """
     yfull = full_mask(1 << part.n2)
-    full = full_mask(1 << part.n)
-    lines: list[SemanticLine] = []
-    trees: list[ProtocolTree] = []
-    provenance: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for g, gate in enumerate(circuit.gates):
-        # The line is 0 where the gate accepts U(x) and rejects V(y).
-        zero = rectangle_bits(val_u[g], ~val_v[g] & yfull, part.n2)
-        lines.append(SemanticLine(part.n1, part.n2, full ^ zero))
-        owners = {"": ALICE, "0": BOB, "1": BOB}
-        preds = {"": val_u[g], "0": val_v[g], "1": val_v[g]}
-        outputs = {h: (0 if h == "10" else 1) for h in ("00", "01", "10", "11")}
-        trees.append(ProtocolTree(part, 2, owners, preds, outputs))
-        if isinstance(gate, InputGate):
-            provenance[g] = (gate.constraint, gate.alpha)
-
+    zero = [(vu, yfull ^ vv) for vu, vv in zip(val_u, val_v)]
     problems: list[str] = []
     leaf_ok = internal_ok = const_ok = True
     for g, gate in enumerate(circuit.gates):
+        xm, ym = zero[g]
         if isinstance(gate, InputGate):
-            axiom = clause_tables[gate.constraint - 1]
-            if not check_semantic_step(axiom, axiom, lines[g]):
+            clause = formula.clauses[gate.constraint - 1]
+            xf, yf = falsifying_mask(clause.literals, part)
+            if xm and ym and (xm & ~xf or ym & ~yf):
                 leaf_ok = False
                 problems.append(f"gate {g}: line not entailed by clause axiom")
         elif isinstance(gate, ConstGate):
-            if not lines[g].is_constant(1):
+            if xm and ym:
                 const_ok = False
                 problems.append(f"gate {g}: constant gate line is not constant 1")
         else:
-            if not check_semantic_step(lines[gate.left], lines[gate.right], lines[g]):
+            # over each piece the children's x masks cut from xm, ym must be covered
+            (ul, yl), (ur, yr) = zero[gate.left], zero[gate.right]
+            pieces = (ul & ur, yl | yr), (ul & ~ur, yl), (~ul & ur, yr), (~ul & ~ur, 0)
+            if any(xm & px and ym & ~cover for px, cover in pieces):
                 internal_ok = False
                 problems.append(f"gate {g}: line not entailed by its children")
-    root_zero = lines[circuit.output].is_constant(0)
+    root_zero = zero[circuit.output] == (full_mask(1 << part.n1), yfull)
     if not root_zero:
         problems.append("output gate's line is not constant 0")
     report = ExtractionReport(
-        line_count=len(lines),
+        line_count=len(circuit.gates),
         leaf_entailments_ok=leaf_ok,
         internal_entailments_ok=internal_ok,
         constant_lines_ok=const_ok,
@@ -663,7 +663,7 @@ def _extract_from_masks(
         all_ok=not problems,
         problems=tuple(problems),
     )
-    return ExtractedRefutation(tuple(lines), tuple(trees), provenance, report)
+    return ExtractedRefutation(part, tuple(val_u), tuple(val_v), report)
 
 
 # --- the whole roundtrip -----------------------------------------------------
@@ -697,9 +697,7 @@ def roundtrip(formula: CnfFormula, part: VariablePartition) -> RoundtripResult:
     extraction = None
     if sep.passed:
         violations = _claim_violations(compiled, lines, val_u, val_v)
-        # compile checked the first m lines' tables against the clauses
-        clause_tables = [ln.table for ln in lines[: formula.m]]
-        extraction = _extract_from_masks(circuit, clause_tables, part, val_u, val_v)
+        extraction = _extract_from_masks(circuit, formula, part, val_u, val_v)
     return RoundtripResult(refutation, lines, compiled, sep, violations, extraction)
 
 

@@ -64,10 +64,6 @@ class Rectangle:
     xset: frozenset[int]
     yset: frozenset[int]
 
-    @property
-    def empty(self) -> bool:
-        return not self.xset or not self.yset
-
 
 @dataclass(frozen=True)
 class RealProtocolRound:
@@ -94,16 +90,21 @@ def constant_tree(part: VariablePartition, bit: int) -> ProtocolTree:
 
 
 def clause_protocol(clause: Clause, part: VariablePartition) -> ProtocolTree:
-    """Depth-2 tree: Alice sends 0 iff all her literals of the clause are
-    falsified, then Bob does the same; output 0 exactly at history "00".
-
-    A player with no literals in the clause has those literals vacuously
-    falsified and always sends 0.
+    """The two-bit protocol of a clause: each player sends 0 iff all their
+    literals of it are falsified, always so for a player with none.
     """
     check_side_cap(part)
-    alice_false, bob_false = falsifying_mask(clause.literals, part)
-    alice_pred = full_mask(1 << part.n1) & ~alice_false
-    bob_pred = full_mask(1 << part.n2) & ~bob_false
+    xf, yf = falsifying_mask(clause.literals, part)
+    xfull, yfull = full_mask(1 << part.n1), full_mask(1 << part.n2)
+    return two_bit_protocol(part, xfull ^ xf, yfull ^ yf)
+
+
+def two_bit_protocol(
+    part: VariablePartition, alice_pred: int, bob_pred: int
+) -> ProtocolTree:
+    """Depth-2 tree: Alice sends bit x of ``alice_pred``, then Bob bit y of
+    ``bob_pred``; output 0 exactly at history "00".
+    """
     owners = {"": ALICE, "0": BOB, "1": BOB}
     preds = {"": alice_pred, "0": bob_pred, "1": bob_pred}
     outputs = {h: (0 if h == "00" else 1) for h in ("00", "01", "10", "11")}

@@ -60,14 +60,16 @@ class DistributionParams:
             raise ValueError(f"width d={self.d} must satisfy 1 <= d <= n={self.n}")
 
 
-def _sample_clause(rng: random.Random, n: int, d: int, shift: int = 0) -> Clause:
+def _sample_clause(rng: random.Random, pool: list, d: int, shift: int = 0) -> Clause:
     # Partial Fisher-Yates prefix gives d distinct variables; signs are
     # drawn in sampled order, then literals are stored sorted by variable.
-    pool = list(range(1, n + 1))
-    for t in range(d):
-        j = rng.randrange(t, n)
+    # Undoing the swaps in reverse order hands the next draw the same pool.
+    swaps = [(t, rng.randrange(t, len(pool))) for t in range(d)]
+    for t, j in swaps:
         pool[t], pool[j] = pool[j], pool[t]
     lits = [Literal(v + shift, bool(rng.getrandbits(1))) for v in pool[:d]]
+    for t, j in reversed(swaps):
+        pool[t], pool[j] = pool[j], pool[t]
     lits.sort(key=lambda lit: lit.var)
     return Clause(tuple(lits))
 
@@ -77,9 +79,8 @@ def sample_f(params: DistributionParams) -> CnfFormula:
     replacement. Deterministic in the seed.
     """
     rng = random.Random(params.seed)
-    clauses = tuple(
-        _sample_clause(rng, params.n, params.d) for _ in range(params.m)
-    )
+    pool = list(range(1, params.n + 1))
+    clauses = tuple(_sample_clause(rng, pool, params.d) for _ in range(params.m))
     return CnfFormula(params.n, clauses)
 
 
@@ -90,10 +91,11 @@ def sample_tensor(params: DistributionParams) -> tuple[CnfFormula, VariableParti
     rng_x = random.Random(derive_seed(params.seed, "tensor-x"))
     rng_y = random.Random(derive_seed(params.seed, "tensor-y"))
     n, d = params.n, params.d
+    pool = list(range(1, n + 1))
     clauses = []
     for _ in range(params.m):
-        left = _sample_clause(rng_x, n, d)
-        right = _sample_clause(rng_y, n, d, shift=n)
+        left = _sample_clause(rng_x, pool, d)
+        right = _sample_clause(rng_y, pool, d, shift=n)
         clauses.append(Clause(left.literals + right.literals))
     part = VariablePartition(tuple(range(1, n + 1)), tuple(range(n + 1, 2 * n + 1)))
     return CnfFormula(2 * n, tuple(clauses)), part

@@ -221,3 +221,98 @@ def heavy_sat_oracle(formula: CnfFormula, part, side: str, epsilon) -> Fraction:
         if all(a & mask != pattern for mask, pattern in checks)
     )
     return Fraction(good, 1 << k)
+
+
+# --- sampler oracle -------------------------------------------------------------
+# The clause sampler before it shared one variable pool per call: a fresh pool
+# per clause.
+
+
+def sample_clause_oracle(rng: random.Random, n: int, d: int, shift: int = 0):
+    from proofbench.cnf import Clause, Literal
+
+    pool = list(range(1, n + 1))
+    for t in range(d):
+        j = rng.randrange(t, n)
+        pool[t], pool[j] = pool[j], pool[t]
+    lits = [Literal(v + shift, bool(rng.getrandbits(1))) for v in pool[:d]]
+    lits.sort(key=lambda lit: lit.var)
+    return Clause(tuple(lits))
+
+
+def sample_f_oracle(params) -> CnfFormula:
+    rng = random.Random(params.seed)
+    clauses = tuple(
+        sample_clause_oracle(rng, params.n, params.d) for _ in range(params.m)
+    )
+    return CnfFormula(params.n, clauses)
+
+
+def sample_tensor_oracle(params) -> CnfFormula:
+    from proofbench.cnf import Clause
+    from proofbench.randomcnf import derive_seed
+
+    rng_x = random.Random(derive_seed(params.seed, "tensor-x"))
+    rng_y = random.Random(derive_seed(params.seed, "tensor-y"))
+    n, d = params.n, params.d
+    clauses = []
+    for _ in range(params.m):
+        left = sample_clause_oracle(rng_x, n, d)
+        right = sample_clause_oracle(rng_y, n, d, shift=n)
+        clauses.append(Clause(left.literals + right.literals))
+    return CnfFormula(2 * n, tuple(clauses))
+
+
+# --- extraction oracle ----------------------------------------------------------
+# The table-based check that extraction ran before it checked rectangle covers.
+
+
+def extraction_oracle(circuit, formula: CnfFormula, part, val_u, val_v):
+    """(report, line tables) of the extraction from side masks: one 2^n-bit
+    table per gate, 0 exactly where the gate accepts U(x) and rejects V(y),
+    and every entailment checked on tables by ``check_semantic_step``.
+    """
+    from proofbench.circuit import ExtractionReport
+    from proofbench.gates import ConstGate, InputGate
+    from proofbench.semantics import SemanticLine, check_semantic_step
+
+    n1, n2 = part.n1, part.n2
+    yfull = (1 << (1 << n2)) - 1
+    full = (1 << (1 << part.n)) - 1
+    lines = []
+    for vu, vv in zip(val_u, val_v):
+        zero = 0
+        for x in range(1 << n1):
+            if (vu >> x) & 1:
+                zero |= (~vv & yfull) << (x << n2)
+        lines.append(SemanticLine(n1, n2, full ^ zero))
+    clause_tables = [SemanticLine.from_clause(c, part) for c in formula.clauses]
+
+    problems = []
+    leaf_ok = internal_ok = const_ok = True
+    for g, gate in enumerate(circuit.gates):
+        if isinstance(gate, InputGate):
+            axiom = clause_tables[gate.constraint - 1]
+            if not check_semantic_step(axiom, axiom, lines[g]):
+                leaf_ok = False
+                problems.append(f"gate {g}: line not entailed by clause axiom")
+        elif isinstance(gate, ConstGate):
+            if not lines[g].is_constant(1):
+                const_ok = False
+                problems.append(f"gate {g}: constant gate line is not constant 1")
+        elif not check_semantic_step(lines[gate.left], lines[gate.right], lines[g]):
+            internal_ok = False
+            problems.append(f"gate {g}: line not entailed by its children")
+    root_zero = lines[circuit.output].is_constant(0)
+    if not root_zero:
+        problems.append("output gate's line is not constant 0")
+    report = ExtractionReport(
+        line_count=len(lines),
+        leaf_entailments_ok=leaf_ok,
+        internal_entailments_ok=internal_ok,
+        constant_lines_ok=const_ok,
+        root_constant_zero=root_zero,
+        all_ok=not problems,
+        problems=tuple(problems),
+    )
+    return report, tuple(lines)

@@ -273,7 +273,8 @@ def test_criterion_04_converse_extraction(compiled_batch):
         assert extraction.report.internal_entailments_ok
         assert extraction.report.constant_lines_ok
         assert extraction.report.root_constant_zero
-        assert all(tree.depth == 2 for tree in extraction.trees)
+        gates = range(result.circuit.gate_count)
+        assert all(extraction.tree(g).depth == 2 for g in gates)
         passed += 1
     elapsed = time.perf_counter() - t0
     assert passed == 100
@@ -290,7 +291,8 @@ def test_criterion_04_extracted_trees_compute_their_lines(compiled_batch):
     for formula, part, _, result in batch:
         extraction = extract_cc2_refutation(result.circuit, formula, part)
         full = (1 << (1 << part.n)) - 1
-        for line, tree in zip(extraction.lines, extraction.trees):
+        for g in range(result.circuit.gate_count):
+            line, tree = extraction.line(g), extraction.tree(g)
             covered = 0
             for h, (xm, ym) in full_history_masks(tree).items():
                 rect = rectangle_bits(xm, ym, part.n2)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import runpy
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_satisfying, random_formula, unsat_3cnfs
+from helpers import count_satisfying, extraction_oracle, random_formula, unsat_3cnfs
 from proofbench.circuit import (
     CcLine,
     CircuitBuilder,
@@ -54,11 +55,12 @@ from proofbench.linear import LinearInequality
 from proofbench.protocol import (
     clause_protocol,
     constant_tree,
+    full_history_masks,
     history_masks,
     materialize_rectangle,
 )
 from proofbench.randomcnf import DistributionParams, derive_seed, sample_f
-from proofbench.semantics import SemanticLine
+from proofbench.semantics import SemanticLine, rectangle_bits
 
 COMPLETE_2CNF = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
 CONTRADICTION = "p cnf 1 2\n1 0\n-1 0\n"
@@ -83,10 +85,6 @@ def compile_complete(record_nodes=False):
     cc = cc_lines_from_resolution(refutation, part)
     result = compile_cc_refutation(cc, f, part, record_nodes=record_nodes)
     return f, part, cc, result
-
-
-def clause_tables(f, part):
-    return [SemanticLine.from_clause(c, part) for c in f.clauses]
 
 
 def instance_gate_values(circuit, f, part):
@@ -181,7 +179,6 @@ class TestCompileComplete2Cnf:
         import proofbench.circuit as circuit_mod
         import proofbench.protocol as protocol_mod
         import proofbench.semantics as semantics_mod
-        from proofbench.protocol import full_history_masks
 
         f = parse_dimacs(COMPLETE_2CNF)
         part = VariablePartition((1,), (2,))
@@ -545,15 +542,14 @@ class TestSideValues:
 
         # extraction's line of gate g is 0 exactly where g accepts U(x) and
         # rejects V(y)
-        tables = clause_tables(f, part)
-        extraction = _extract_from_masks(circuit, tables, part, val_u, val_v)
-        for g, line in enumerate(extraction.lines):
+        extraction = _extract_from_masks(circuit, f, part, val_u, val_v)
+        for g in range(circuit.gate_count):
             bits = 0
             for x, uv in enumerate(u_vals):
                 for y, vv in enumerate(v_vals):
                     if not (uv[g] == 1 and vv[g] == 0):
                         bits |= 1 << ((x << part.n2) | y)
-            assert line.bits == bits
+            assert extraction.line(g).bits == bits
 
 
     def test_side_cap(self):
@@ -595,20 +591,18 @@ class TestExtraction:
         extraction = extract_cc2_refutation(result.circuit, f, part)
         assert extraction.report.all_ok
         assert extraction.report.line_count == result.circuit.gate_count
-        assert all(t.depth == 2 for t in extraction.trees)
-        for g, gate in enumerate(result.circuit.gates):
-            if isinstance(gate, InputGate):
-                assert extraction.provenance[g] == (gate.constraint, gate.alpha)
-        assert extraction.lines[result.circuit.output].is_constant(0)
+        gates = range(result.circuit.gate_count)
+        assert all(extraction.tree(g).depth == 2 for g in gates)
+        assert extraction.line(result.circuit.output).is_constant(0)
 
     def test_single_input_gate_flagged(self):
         f = parse_dimacs(COMPLETE_2CNF)
         part = VariablePartition((1,), (2,))
         circuit = MonotoneCircuit((InputGate(1, (0,)),), 0)
         masks = side_values(circuit, f, part)
-        extraction = _extract_from_masks(circuit, clause_tables(f, part), part, *masks)
+        extraction = _extract_from_masks(circuit, f, part, *masks)
         # the leaf line is 0 exactly when x matches alpha and clause 1 fails
-        line = extraction.lines[0]
+        line = extraction.line(0)
         for x in range(2):
             for y in range(2):
                 expected = 0 if (x == 0 and (x, y) == (0, 0)) else 1
@@ -616,6 +610,44 @@ class TestExtraction:
         assert extraction.report.leaf_entailments_ok
         assert not extraction.report.root_constant_zero
         assert not extraction.report.all_ok
+
+    def test_no_table_after_compile(self, monkeypatch):
+        # Extraction checks rectangle covers: it builds no SemanticLine and
+        # calls neither rectangle_bits nor check_semantic_step, so a
+        # roundtrip makes exactly the calls of its stages up to compile.
+        import proofbench.circuit as circuit_mod
+        import proofbench.protocol as protocol_mod
+        import proofbench.semantics as semantics_mod
+
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("rectangle_bits", "check_semantic_step"):
+            wrapped = counted(name, getattr(semantics_mod, name))
+            for module in (circuit_mod, protocol_mod, semantics_mod):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+        init = counted("SemanticLine", SemanticLine.__init__)
+        monkeypatch.setattr(SemanticLine, "__init__", init)
+        for name, f in ROUNDTRIP_BATCH[:3]:
+            part = VariablePartition.alternating(f.n)
+            calls.clear()
+            cc = cc_lines_from_resolution(resolution_refutation_from_dpll(f), part)
+            result = compile_cc_refutation(cc, f, part)
+            up_to_compile = Counter(calls)
+            assert all(up_to_compile[k] for k in ("rectangle_bits", "SemanticLine"))
+            calls.clear()
+            assert extract_cc2_refutation(result.circuit, f, part).report.all_ok
+            assert calls == Counter(), name
+            calls.clear()
+            assert roundtrip(f, part).extraction.report.all_ok
+            assert calls == up_to_compile, name
 
     def test_separation_precondition(self):
         f = parse_dimacs(COMPLETE_2CNF)
@@ -660,16 +692,43 @@ class TestExtraction:
         f, part, _, result = compile_complete()
         circuit = result.circuit
         val_u, val_v = side_values(circuit, f, part)
-        tables = clause_tables(f, part)
-        assert _extract_from_masks(circuit, tables, part, val_u, val_v).report.all_ok
+        assert _extract_from_masks(circuit, f, part, val_u, val_v).report.all_ok
         masks = {"u": val_u, "v": val_v}
         assert masks[side][gate] != mask
         masks[side][gate] = mask
-        report = _extract_from_masks(circuit, tables, part, val_u, val_v).report
+        report = _extract_from_masks(circuit, f, part, val_u, val_v).report
         assert report.problems == (problem,)
         assert getattr(report, flag) is False
         assert report.root_constant_zero
         assert report.all_ok is False
+
+
+class TestExtractionMatchesTables:
+    """The rectangle-cover extraction against the table oracle it replaced,
+    on ``side_values``' masks and on arbitrary masks put in their place for
+    some gates, each within its side's range.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(layout_circuits(), st.data())
+    def test_report_lines_and_trees(self, case, data):
+        f, part, circuit = case
+        val_u, val_v = side_values(circuit, f, part)
+        xfull, yfull = (1 << (1 << part.n1)) - 1, (1 << (1 << part.n2)) - 1
+        gate_ids = st.integers(0, circuit.gate_count - 1)
+        for g in data.draw(st.lists(gate_ids, max_size=4)):
+            val_u[g] = data.draw(st.one_of(st.just(val_u[g]), st.integers(0, xfull)))
+            val_v[g] = data.draw(st.one_of(st.just(val_v[g]), st.integers(0, yfull)))
+        report, lines = extraction_oracle(circuit, f, part, val_u, val_v)
+        extraction = _extract_from_masks(circuit, f, part, val_u, val_v)
+        assert extraction.report == report
+        for g, line in enumerate(lines):
+            assert extraction.line(g) == line
+            # the two-bit tree computes the line on every history's rectangle
+            tree = extraction.tree(g)
+            for h, (xm, ym) in full_history_masks(tree).items():
+                rect = rectangle_bits(xm, ym, part.n2)
+                assert line.bits & rect == (rect if tree.output_at(h) else 0)
 
 
 class TestRoundtrip:
@@ -704,8 +763,11 @@ class TestRoundtrip:
         assert rt.claim_violations == violations == 0
         assert rt.extraction.report == extraction.report
         assert rt.extraction.report.all_ok
-        assert rt.extraction.lines == extraction.lines
-        assert rt.extraction.provenance == extraction.provenance
+        assert rt.extraction == extraction
+        assert (rt.extraction.val_u, rt.extraction.val_v) == (tuple(val_u), tuple(val_v))
+        report, lines = extraction_oracle(result.circuit, f, part, val_u, val_v)
+        assert rt.extraction.report == report
+        assert [rt.extraction.line(g) for g in range(len(lines))] == list(lines)
 
     def test_no_extraction_without_separation(self, monkeypatch):
         f = parse_dimacs(COMPLETE_2CNF)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import re
+from itertools import count, islice
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import unsat_3cnfs
-from proofbench.cli import main
-from proofbench.cnf import parse_dimacs, serialize_dimacs
+from proofbench.circuit import roundtrip
+from proofbench.cli import _jsonable, main
+from proofbench.cnf import brute_force_sat, parse_dimacs, serialize_dimacs
+from proofbench.randomcnf import DistributionParams, derive_seed, sample_tensor
 
 COMPLETE_2CNF = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
 CONTRADICTION = "p cnf 1 2\n1 0\n-1 0\n"
@@ -329,6 +332,42 @@ class TestRoundtrip:
             assert len(calls) == 1, name
             digest.update(Path(f"{name}.json").read_bytes())
         assert digest.hexdigest() == ROUNDTRIP_DIGEST
+
+
+class TestTensorRoundtrip:
+    """Two-sided formulas end to end on their own partition, X = 1..6 and
+    Y = 7..12: the first three unsatisfiable draws of a seeded stream.
+    """
+
+    def test_library_and_cli(self, tmp_path):
+        draws = (
+            sample_tensor(DistributionParams(160, 6, 2, derive_seed(0, "tensor", i)))
+            for i in count()
+        )
+        unsat = islice(((f, p) for f, p in draws if brute_force_sat(f) is None), 3)
+        for i, (formula, part) in enumerate(unsat):
+            rt = roundtrip(formula, part)
+            assert rt.separation.passed
+            assert rt.claim_violations == 0
+            assert rt.extraction.report.all_ok
+
+            cnf, report = tmp_path / f"t{i}.cnf", tmp_path / f"t{i}.json"
+            cnf.write_text(serialize_dimacs(formula))
+            argv = ["roundtrip", "--cnf", str(cnf), "--partition",
+                    "x:1,2,3,4,5,6", "y:7,8,9,10,11,12", "--report", str(report)]
+            assert main(argv) == 0
+            data = read_report(report)
+            assert data["config"]["partition"] == {
+                "xvars": list(part.xvars), "yvars": list(part.yvars), "mode": "explicit"
+            }
+            results = data["results"]
+            assert results["refutation_length"] == rt.refutation.length
+            assert results["compile"] == _jsonable(rt.compiled.report)
+            assert results["separation"] == _jsonable(rt.separation)
+            assert results["separation"]["passed"] is True
+            assert results["claim_violations"] == 0
+            assert results["extraction"] == _jsonable(rt.extraction.report)
+            assert results["extraction"]["all_ok"] is True
 
 
 class TestSearchPartition:

@@ -12,6 +12,8 @@ from helpers import (
     heavy_sat_oracle,
     min_pair_union_oracle,
     profile_oracle,
+    sample_f_oracle,
+    sample_tensor_oracle,
 )
 from proofbench.cnf import Clause, CnfFormula, Literal, VariablePartition, parse_dimacs
 from proofbench.errors import CapExceededError, ScopeError
@@ -60,6 +62,20 @@ class TestSampling:
             assert len(clause.vars & part.xset) == 2
             assert len(clause.vars & part.yset) == 2
         assert sample_tensor(DistributionParams(2, 3, 2, 7))[0] == f
+
+    def test_shared_pool_matches_fresh_pools(self):
+        # One variable pool per call, each draw undoing its swaps, against
+        # the sampler that built a fresh pool for every clause. The largest
+        # case (criterion 9's formula) runs through sample_f only.
+        big = DistributionParams(4000, 1000, 6, 1)
+        assert sample_f(big) == sample_f_oracle(big)
+        rng = random.Random(29)
+        for _ in range(29):
+            n = rng.choice((1, 2, 3, 5, 8, 13, 40, 200))
+            d = rng.randint(1, min(n, 8))
+            params = DistributionParams(rng.randint(1, 300), n, d, rng.getrandbits(48))
+            assert sample_f(params) == sample_f_oracle(params), params
+            assert sample_tensor(params)[0] == sample_tensor_oracle(params), params
 
     def test_sign_balance(self):
         positives = 0
