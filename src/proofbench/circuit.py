@@ -70,7 +70,6 @@ __all__ = [
     "ExtractedRefutation",
     "ExtractionReport",
     "MonotoneCircuit",
-    "NodeRecord",
     "RoundtripResult",
     "SeparationReport",
     "cc_lines_from_cp_proof",
@@ -106,7 +105,8 @@ class CircuitBuilder:
         return self._intern(("in", constraint, alpha), InputGate(constraint, alpha))
 
     def const(self, bit: int) -> int:
-        return self._intern(("const", bit), ConstGate(bit))
+        idx = self._table.get(("const", bit))
+        return self._intern(("const", bit), ConstGate(bit)) if idx is None else idx
 
     def gate_and(self, a: int, b: int) -> int:
         a, b = min(a, b), max(a, b)
@@ -321,18 +321,6 @@ class CompiledLineCircuit:
 
 
 @dataclass(frozen=True)
-class NodeRecord:
-    """Stacked-tree node with its triple-intersection masks."""
-
-    line_index: int
-    history: str
-    prefix: str
-    gate: int
-    xmask: int
-    ymask: int
-
-
-@dataclass(frozen=True)
 class CompileReport:
     line_count: int
     gate_count: int
@@ -346,7 +334,6 @@ class CompileResult:
     circuit: MonotoneCircuit
     entries: tuple[CompiledLineCircuit, ...]
     report: CompileReport
-    node_records: tuple[NodeRecord, ...] | None = None
 
 
 def _validate_refutation(
@@ -379,10 +366,7 @@ def _validate_refutation(
 
 
 def compile_cc_refutation(
-    lines: Sequence[CcLine],
-    formula: CnfFormula,
-    part: VariablePartition,
-    record_nodes: bool = False,
+    lines: Sequence[CcLine], formula: CnfFormula, part: VariablePartition
 ) -> CompileResult:
     """Compile a protocol refutation into a monotone circuit separating the
     accepting instances U(x) from the rejecting instances V(y).
@@ -395,29 +379,33 @@ def compile_cc_refutation(
     _validate_refutation(lines, formula, part)
 
     # One rectangle per (line, history) gives both the tree-vs-table check
-    # and the good (0-monochromatic, empty included) histories, in order.
-    good_per_line: list[list[tuple[str, int, int]]] = []
+    # and the good (0-monochromatic, empty included) histories, in leaf order.
+    good_per_line: list[list[tuple[int, str, int, int]]] = []
     for i, ln in enumerate(lines):
-        masks = full_history_masks(ln.tree)
         good = []
-        for h in sorted(masks):
-            xm, ym = masks[h]
+        for leaf, (h, (xm, ym)) in enumerate(full_history_masks(ln.tree).items()):
             rect = rectangle_bits(xm, ym, part.n2)
             ones = ln.table.bits & rect
-            if ones != (rect if ln.tree.output_at(h) else 0):
+            if ones != (rect if ln.tree.outputs[leaf] else 0):
                 raise SoundnessError(
                     f"line {i}: protocol tree disagrees with the table"
                 )
             if ones == 0:
-                good.append((h, xm, ym))
+                good.append((leaf, h, xm, ym))
         good_per_line.append(good)
 
+    # The walks below intern their OR and AND gates inline, under the keys
+    # of CircuitBuilder.gate_or and gate_and.
     builder = CircuitBuilder()
-    built: dict[tuple[int, str], int] = {}
+    gates, table = builder.gates, builder._table
+    table_get = table.get
+    built: list[dict[int, int]] = []  # per line, good leaf -> gate
     entries: list[CompiledLineCircuit] = []
-    records: list[NodeRecord] = []
+    # (g, k, node of line k's tree) -> the gate of that subtree when every
+    # leaf below it is g, whatever the masks; shared by all lines
+    filled: dict[tuple[int, int, int], int] = {}
 
-    def build_axiom(i: int, ln: CcLine) -> None:
+    def build_axiom(i: int, ln: CcLine) -> dict[int, int]:
         # The line's table is its clause's (checked above), so a nonempty good
         # rectangle holds only x falsifying the clause's X-literals: the entry
         # alpha is their falsifying bits in variable order. Empty good
@@ -425,83 +413,119 @@ def compile_cc_refutation(
         clause = formula.clauses[ln.axiom - 1]
         xlits = sorted(clause.side_literals(part.xset), key=lambda l: l.var)
         alpha = tuple(int(lit.negated) for lit in xlits)
-        for h, xm, ym in good_per_line[i]:
+        out = {}
+        for leaf, h, xm, ym in good_per_line[i]:
             if xm and ym:
-                gate = builder.input_gate(ln.axiom, alpha)
-                built[(i, h)] = gate
+                out[leaf] = gate = builder.input_gate(ln.axiom, alpha)
                 entries.append(CompiledLineCircuit(i, h, gate))
+        return out
 
-    xfull = full_mask(1 << part.n1)
-    yfull = full_mask(1 << part.n2)
-
-    def build_derived(i: int, ln: CcLine) -> None:
+    def build_derived(i: int, ln: CcLine) -> dict[int, int]:
+        # The stacked tree plays premise j's tree, then premise k's below
+        # each of its leaves. A node's gate depends only on its node, its
+        # masks and the premises' gates, which are fixed while line i is
+        # built, so each memo returns a gate the walk would intern again as
+        # a hash-cons hit, and the gate order is that of the plain walk.
+        # With xm == 0 every leaf below is a premise gate or Const0, so ym
+        # does not matter.
         j, k = ln.premises
         tj, tk = lines[j].tree, lines[k].tree
-        dj, total = tj.depth, tj.depth + tk.depth
-        owners_j, preds_j = tj.owners, tj.preds
-        owners_k, preds_k = tk.owners, tk.preds
-        built_get = built.get
-        # A node's gate depends only on (prefix, xm, ym) and on the premises'
-        # gates, which are fixed while line i is built, so a repeated subtree
-        # is looked up instead of walked again; the gates it would intern
-        # already exist. With xm == 0 every leaf below is a premise gate or
-        # Const0, so ym does not matter. Recording walks every node.
-        memo: dict[tuple[str, int, int], int] | None = None if record_nodes else {}
+        owners_j, preds_j, leaf_j = tj.owners, tj.preds, 1 << tj.depth
+        owners_k, preds_k, leaf_k = tk.owners, tk.preds, 1 << tk.depth
+        built_j, built_k = built[j], built[k]
+        memo_j: dict[tuple[int, int, int], int] = {}
+        memo_k: dict[tuple[int, int, int], int] = {}
 
-        def node(prefix: str, xm: int, ym: int, h: str) -> int:
-            if memo is not None:
-                key = (prefix, xm, ym if xm else 0)
-                gate = memo.get(key)
-                if gate is not None:
-                    return gate
-            depth = len(prefix)
-            if depth == total:
-                gate = built_get((j, prefix[:dj]))
-                if gate is None:
-                    gate = built_get((k, prefix[dj:]))
-                if gate is None:
-                    if xm == 0:
-                        gate = builder.const(0)
-                    elif ym == 0:
-                        gate = builder.const(1)
-                    else:
-                        raise SoundnessError(
-                            f"line {i}, history {h!r}: premises both reject "
-                            f"stacked leaf {prefix!r} on a nonempty rectangle"
-                        )
-            else:
-                if depth < dj:
-                    owner = owners_j[prefix]
-                    pred = preds_j[prefix]
+        def walk_j(v: int, xm: int, ym: int) -> int:
+            if v >= leaf_j:
+                # below a gate of line j every stacked leaf returns it; below
+                # any other leaf of tj the stacked leaves do not depend on it
+                gate = built_j.get(v - leaf_j)
+                return walk_k(1, xm, ym, v) if gate is None else fill(gate, 1)
+            key = (v, xm, ym if xm else 0)
+            gate = memo_j.get(key)
+            if gate is None:
+                pred, alice = preds_j[v], owners_j[v] == ALICE
+                if alice:
+                    g0 = walk_j(2 * v, xm & ~pred, ym)
+                    g1 = walk_j(2 * v + 1, xm & pred, ym)
                 else:
-                    owner = owners_k[prefix[dj:]]
-                    pred = preds_k[prefix[dj:]]
-                if owner == ALICE:
-                    g0 = node(prefix + "0", xm & ~pred & xfull, ym, h)
-                    g1 = node(prefix + "1", xm & pred, ym, h)
-                    gate = builder.gate_or(g0, g1)
-                else:
-                    g0 = node(prefix + "0", xm, ym & ~pred & yfull, h)
-                    g1 = node(prefix + "1", xm, ym & pred, h)
-                    gate = builder.gate_and(g0, g1)
-            if memo is None:
-                records.append(NodeRecord(i, h, prefix, gate, xm, ym))
-            else:
-                memo[key] = gate
+                    g0 = walk_j(2 * v, xm, ym & ~pred)
+                    g1 = walk_j(2 * v + 1, xm, ym & pred)
+                if g1 < g0:
+                    g0, g1 = g1, g0
+                gkey = ("or" if alice else "and", g0, g1)
+                gate = table_get(gkey)
+                if gate is None:
+                    gate = table[gkey] = len(gates)
+                    gates.append(OrGate(g0, g1) if alice else AndGate(g0, g1))
+                memo_j[key] = gate
             return gate
 
-        for h, xm, ym in good_per_line[i]:
-            gate = node("", xm, ym, h)
-            built[(i, h)] = gate
+        def walk_k(w: int, xm: int, ym: int, v: int) -> int:
+            if w >= leaf_k:
+                gate = built_k.get(w - leaf_k)
+                if gate is not None:
+                    return gate
+                if xm and ym:
+                    # Unreachable after _validate_refutation: a history that
+                    # no gate serves is 1 on its whole rectangle in both
+                    # premises, so line i is 1 there too, yet the history h
+                    # being built is good for it.
+                    stacked = bin(v)[3:] + bin(w)[3:]
+                    raise SoundnessError(
+                        f"line {i}, history {h!r}: premises both reject "
+                        f"stacked leaf {stacked!r} on a nonempty rectangle"
+                    )
+                return builder.const(0 if xm == 0 else 1)
+            key = (w, xm, ym if xm else 0)
+            gate = memo_k.get(key)
+            if gate is None:
+                pred, alice = preds_k[w], owners_k[w] == ALICE
+                if alice:
+                    g0 = walk_k(2 * w, xm & ~pred, ym, v)
+                    g1 = walk_k(2 * w + 1, xm & pred, ym, v)
+                else:
+                    g0 = walk_k(2 * w, xm, ym & ~pred, v)
+                    g1 = walk_k(2 * w + 1, xm, ym & pred, v)
+                if g1 < g0:
+                    g0, g1 = g1, g0
+                gkey = ("or" if alice else "and", g0, g1)
+                gate = table_get(gkey)
+                if gate is None:
+                    gate = table[gkey] = len(gates)
+                    gates.append(OrGate(g0, g1) if alice else AndGate(g0, g1))
+                memo_k[key] = gate
+            return gate
+
+        def fill(g: int, w: int) -> int:
+            if w >= leaf_k:
+                return g
+            key = (g, k, w)
+            gate = filled.get(key)
+            if gate is None:
+                g0, g1 = fill(g, 2 * w), fill(g, 2 * w + 1)
+                if g1 < g0:
+                    g0, g1 = g1, g0
+                alice = owners_k[w] == ALICE
+                gkey = ("or" if alice else "and", g0, g1)
+                gate = table_get(gkey)
+                if gate is None:
+                    gate = table[gkey] = len(gates)
+                    gates.append(OrGate(g0, g1) if alice else AndGate(g0, g1))
+                filled[key] = gate
+            return gate
+
+        out = {}
+        for leaf, h, xm, ym in good_per_line[i]:
+            out[leaf] = gate = walk_j(1, xm, ym)
             entries.append(CompiledLineCircuit(i, h, gate))
+        return out
 
     for i, ln in enumerate(lines):
-        if ln.axiom is not None:
-            build_axiom(i, ln)
-        else:
-            build_derived(i, ln)
+        built.append(build_axiom(i, ln) if ln.axiom is not None else build_derived(i, ln))
 
-    final = built.get((len(lines) - 1, ""))
+    final = built[-1].get(0)
     if final is None:
         raise SoundnessError("final line produced no circuit for the empty history")
     circuit = builder.build(final)
@@ -513,12 +537,7 @@ def compile_cc_refutation(
         size_estimate=len(lines) * (1 << kmax),
         size_bound=len(lines) * (1 << (3 * kmax)),
     )
-    return CompileResult(
-        circuit,
-        tuple(entries),
-        report,
-        tuple(records) if record_nodes else None,
-    )
+    return CompileResult(circuit, tuple(entries), report)
 
 
 # --- separation and extraction ----------------------------------------------

@@ -1,17 +1,18 @@
 """Two-party communication protocol trees over a variable partition.
 
-A tree is a complete binary tree of a fixed depth. Internal nodes are
-addressed by the transcript prefix that reaches them; each carries an owner
-(Alice reads only the X side, Bob only the Y side) and the owner's predicate,
-stored as a bitmask over that side's input indices. Leaves carry output bits
-and are addressed by full histories.
+A tree is a complete binary tree of a fixed depth, stored in heap order:
+the root is node 1 and node v has children 2v and 2v+1, so transcript p
+reaches node ``int("1" + p, 2)``. Each internal node carries an owner (Alice
+reads only the X side, Bob only the Y side) and the owner's predicate, a
+bitmask over that side's input indices. Leaves carry output bits, indexed by
+the leaf integer ``int(h, 2)`` of a full history h. Transcript strings
+appear only at the API edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Mapping
 
 from .bitops import full_mask, iter_bits, value_masks
 from .cnf import Assignment, Clause, VariablePartition
@@ -30,9 +31,10 @@ DEPTH_CAP = 16
 class ProtocolTree:
     part: VariablePartition
     depth: int
-    owners: Mapping[str, str] = field(repr=False)
-    preds: Mapping[str, int] = field(repr=False)
-    outputs: Mapping[str, int] = field(repr=False)
+    # indexed by heap node; entry 0 is unused
+    owners: tuple[str | None, ...] = field(repr=False)
+    preds: tuple[int, ...] = field(repr=False)
+    outputs: tuple[int, ...] = field(repr=False)  # indexed by leaf integer
 
     @property
     def n1(self) -> int:
@@ -43,13 +45,21 @@ class ProtocolTree:
         return self.part.n2
 
     def owner_at(self, prefix: str) -> str:
-        return self.owners[prefix]
+        return self.owners[self._node(prefix)]
 
     def predicate_at(self, prefix: str) -> int:
-        return self.preds[prefix]
+        return self.preds[self._node(prefix)]
 
     def output_at(self, history: str) -> int:
-        return self.outputs[history]
+        if len(history) != self.depth:
+            raise KeyError(history)
+        return self.outputs[int("0" + history, 2)]
+
+    def _node(self, prefix: str) -> int:
+        """The internal node that the prefix reaches."""
+        if len(prefix) >= self.depth:
+            raise KeyError(prefix)
+        return int("1" + prefix, 2)
 
     def histories(self) -> list[str]:
         return ["".join(h) for h in product("01", repeat=self.depth)]
@@ -86,7 +96,7 @@ def check_side_cap(part: VariablePartition) -> None:
 
 def constant_tree(part: VariablePartition, bit: int) -> ProtocolTree:
     """Depth-0 tree: no communication, the empty history outputs ``bit``."""
-    return ProtocolTree(part, 0, {}, {}, {"": int(bit)})
+    return ProtocolTree(part, 0, (None,), (0,), (int(bit),))
 
 
 def clause_protocol(clause: Clause, part: VariablePartition) -> ProtocolTree:
@@ -105,10 +115,9 @@ def two_bit_protocol(
     """Depth-2 tree: Alice sends bit x of ``alice_pred``, then Bob bit y of
     ``bob_pred``; output 0 exactly at history "00".
     """
-    owners = {"": ALICE, "0": BOB, "1": BOB}
-    preds = {"": alice_pred, "0": bob_pred, "1": bob_pred}
-    outputs = {h: (0 if h == "00" else 1) for h in ("00", "01", "10", "11")}
-    return ProtocolTree(part, 2, owners, preds, outputs)
+    owners = (None, ALICE, BOB, BOB)
+    preds = (0, alice_pred, bob_pred, bob_pred)
+    return ProtocolTree(part, 2, owners, preds, (0, 1, 1, 1))
 
 
 def inequality_protocol(
@@ -134,25 +143,19 @@ def inequality_protocol(
         raise CapExceededError(
             f"message width {w}+1 exceeds protocol depth cap {DEPTH_CAP}"
         )
-    owners: dict[str, str] = {}
-    preds: dict[str, int] = {}
+    # entry 0 is unused; levels 0..w-1 are Alice's, one mask per level, and
+    # level w is Bob's
+    preds = [0] * (1 << w)
     for level in range(w):
         shift = w - 1 - level
         mask = sum(xm for a, xm in by_asum.items() if ((a - amin) >> shift) & 1)
-        for prefix in product("01", repeat=level):
-            p = "".join(prefix)
-            owners[p] = ALICE
-            preds[p] = mask
-    for prefix in product("01", repeat=w):
-        p = "".join(prefix)
-        announced = amin + (int(p, 2) if p else 0)
-        mask = sum(ym for b, ym in by_bsum.items() if announced + b >= ineq.constant)
-        owners[p] = BOB
-        preds[p] = mask
-    outputs = {
-        "".join(h): int(h[-1]) for h in product("01", repeat=depth)
-    }
-    return ProtocolTree(part, depth, owners, preds, outputs)
+        preds[1 << level : 2 << level] = [mask] * (1 << level)
+    for announced in range(amin, amin + (1 << w)):
+        preds.append(
+            sum(ym for b, ym in by_bsum.items() if announced + b >= ineq.constant)
+        )
+    owners = (None,) + (ALICE,) * ((1 << w) - 1) + (BOB,) * (1 << w)
+    return ProtocolTree(part, depth, owners, tuple(preds), (0, 1) * (1 << w))
 
 
 def run_protocol(
@@ -163,48 +166,44 @@ def run_protocol(
     part.check_exact_sides(x, y)
     x_idx = x.to_index(part.xvars)
     y_idx = y.to_index(part.yvars)
-    history = ""
+    v = 1
     for _ in range(tree.depth):
-        idx = x_idx if tree.owner_at(history) == ALICE else y_idx
-        bit = (tree.predicate_at(history) >> idx) & 1
-        history += str(bit)
-    return history, tree.output_at(history)
+        idx = x_idx if tree.owners[v] == ALICE else y_idx
+        v = 2 * v + ((tree.preds[v] >> idx) & 1)
+    return bin(v)[3:], tree.outputs[v - (1 << tree.depth)]
 
 
 def history_masks(tree: ProtocolTree, history: str) -> tuple[int, int]:
     """Index masks of the inputs consistent with a (possibly partial) history."""
+    if len(history) > tree.depth:
+        raise KeyError(history)
     xmask = full_mask(1 << tree.n1)
     ymask = full_mask(1 << tree.n2)
-    for i, bit in enumerate(history):
-        prefix = history[:i]
-        pred = tree.predicate_at(prefix)
-        if tree.owner_at(prefix) == ALICE:
-            xmask &= pred if bit == "1" else ~pred & full_mask(1 << tree.n1)
+    v = 1
+    for bit in history:
+        pred = tree.preds[v] if bit == "1" else ~tree.preds[v]
+        if tree.owners[v] == ALICE:
+            xmask &= pred
         else:
-            ymask &= pred if bit == "1" else ~pred & full_mask(1 << tree.n2)
+            ymask &= pred
+        v = 2 * v + (bit == "1")
     return xmask, ymask
 
 
 def full_history_masks(tree: ProtocolTree) -> dict[str, tuple[int, int]]:
-    """Masks for every full history, computed by descending the tree once."""
-    result: dict[str, tuple[int, int]] = {}
-    xfull = full_mask(1 << tree.n1)
-    yfull = full_mask(1 << tree.n2)
-
-    def descend(prefix: str, xm: int, ym: int) -> None:
-        if len(prefix) == tree.depth:
-            result[prefix] = (xm, ym)
-            return
-        pred = tree.predicate_at(prefix)
-        if tree.owner_at(prefix) == ALICE:
-            descend(prefix + "0", xm & ~pred & xfull, ym)
-            descend(prefix + "1", xm & pred, ym)
-        else:
-            descend(prefix + "0", xm, ym & ~pred & yfull)
-            descend(prefix + "1", xm, ym & pred)
-
-    descend("", xfull, yfull)
-    return result
+    """Masks for every full history in leaf order, computed level by level."""
+    level = [(full_mask(1 << tree.n1), full_mask(1 << tree.n2))]
+    for v0 in (1 << d for d in range(tree.depth)):
+        nxt = []
+        for v, (xm, ym) in enumerate(level, v0):
+            pred = tree.preds[v]
+            if tree.owners[v] == ALICE:
+                nxt += ((xm & ~pred, ym), (xm & pred, ym))
+            else:
+                nxt += ((xm, ym & ~pred), (xm, ym & pred))
+        level = nxt
+    # node v's transcript: its binary digits after the leading 1
+    return {bin(v)[3:]: masks for v, masks in enumerate(level, 1 << tree.depth)}
 
 
 def materialize_rectangle(tree: ProtocolTree, history: str) -> Rectangle:

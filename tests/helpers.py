@@ -316,3 +316,204 @@ def extraction_oracle(circuit, formula: CnfFormula, part, val_u, val_v):
         problems=tuple(problems),
     )
     return report, tuple(lines)
+
+
+# --- protocol tree oracle -------------------------------------------------------
+# Trees as string-keyed dicts, the way the library stored them before its trees
+# became heap-ordered tuples, with the string walks that read them.
+
+
+class DictTree:
+    """A protocol tree whose nodes are addressed by transcript strings."""
+
+    def __init__(self, part, depth, owners, preds, outputs):
+        self.part, self.depth = part, depth
+        self.owners, self.preds, self.outputs = owners, preds, outputs
+
+    def owner_at(self, prefix: str) -> str:
+        return self.owners[prefix]
+
+    def predicate_at(self, prefix: str) -> int:
+        return self.preds[prefix]
+
+    def output_at(self, history: str) -> int:
+        return self.outputs[history]
+
+
+def clause_tree_oracle(clause, part) -> DictTree:
+    """The two-bit clause protocol, its predicates read off enumerated
+    assignments: a player sends 1 iff one of their literals is true.
+    """
+
+    def pred(side_vars, assignment):
+        on_side = [lit for lit in clause.literals if lit.var in side_vars]
+        return sum(
+            1 << idx
+            for idx in range(1 << len(side_vars))
+            if any(lit.satisfied_by(assignment(idx).bit(lit.var)) for lit in on_side)
+        )
+
+    alice = pred(part.xvars, part.x_assignment)
+    bob = pred(part.yvars, part.y_assignment)
+    owners = {"": "alice", "0": "bob", "1": "bob"}
+    preds = {"": alice, "0": bob, "1": bob}
+    outputs = {h: int(h != "00") for h in ("00", "01", "10", "11")}
+    return DictTree(part, 2, owners, preds, outputs)
+
+
+def inequality_tree_oracle(ineq, part) -> DictTree:
+    """Alice's partial sum in offset binary, then one Bob bit: the library's
+    construction over string prefixes, one dict entry per node.
+    """
+    from proofbench.bitops import value_masks
+
+    asums, bsums = part.partial_sums(ineq.coeffs)
+    amin, amax = min(asums), max(asums)
+    by_asum, by_bsum = value_masks(asums), value_masks(bsums)
+    if amin == amax and len(by_bsum) == 1:
+        return DictTree(part, 0, {}, {}, {"": int(amin + bsums[0] >= ineq.constant)})
+    w = (amax - amin).bit_length() if amax > amin else 0
+    owners, preds = {}, {}
+    for level in range(w):
+        shift = w - 1 - level
+        mask = sum(xm for a, xm in by_asum.items() if ((a - amin) >> shift) & 1)
+        for prefix in product("01", repeat=level):
+            owners["".join(prefix)] = "alice"
+            preds["".join(prefix)] = mask
+    for prefix in product("01", repeat=w):
+        p = "".join(prefix)
+        announced = amin + (int(p, 2) if p else 0)
+        owners[p] = "bob"
+        preds[p] = sum(ym for b, ym in by_bsum.items() if announced + b >= ineq.constant)
+    outputs = {"".join(h): int(h[-1]) for h in product("01", repeat=w + 1)}
+    return DictTree(part, w + 1, owners, preds, outputs)
+
+
+def history_masks_oracle(tree, history: str) -> tuple[int, int]:
+    xfull, yfull = (1 << (1 << tree.part.n1)) - 1, (1 << (1 << tree.part.n2)) - 1
+    xmask, ymask = xfull, yfull
+    for i, bit in enumerate(history):
+        pred = tree.predicate_at(history[:i])
+        if tree.owner_at(history[:i]) == "alice":
+            xmask &= pred if bit == "1" else ~pred & xfull
+        else:
+            ymask &= pred if bit == "1" else ~pred & yfull
+    return xmask, ymask
+
+
+def full_history_masks_oracle(tree) -> dict[str, tuple[int, int]]:
+    return {
+        "".join(h): history_masks_oracle(tree, "".join(h))
+        for h in product("01", repeat=tree.depth)
+    }
+
+
+def run_protocol_oracle(tree, x_idx: int, y_idx: int) -> tuple[str, int]:
+    history = ""
+    for _ in range(tree.depth):
+        idx = x_idx if tree.owner_at(history) == "alice" else y_idx
+        history += str((tree.predicate_at(history) >> idx) & 1)
+    return history, tree.output_at(history)
+
+
+# --- compile oracle -------------------------------------------------------------
+# Compile's stacked-tree walk before its memos: every node of every good
+# history's stacked tree, on string prefixes, recorded with its masks.
+
+
+def plain_walk_oracle(lines, formula: CnfFormula, part):
+    """(circuit, entries, report, node records) of the unmemoized walk, which
+    reads the trees only through their string API. A record is the tuple
+    (line index, history, stacked prefix, gate, x mask, y mask) of one node,
+    its masks those of the triple intersection.
+    """
+    from proofbench.circuit import (
+        CircuitBuilder,
+        CompiledLineCircuit,
+        CompileReport,
+        _validate_refutation,
+    )
+    from proofbench.errors import SoundnessError
+    from proofbench.protocol import ALICE, check_side_cap, full_history_masks
+    from proofbench.semantics import rectangle_bits
+
+    check_side_cap(part)
+    _validate_refutation(lines, formula, part)
+    good_per_line = []
+    for i, ln in enumerate(lines):
+        masks = full_history_masks(ln.tree)
+        good = []
+        for h in sorted(masks):
+            xm, ym = masks[h]
+            rect = rectangle_bits(xm, ym, part.n2)
+            ones = ln.table.bits & rect
+            if ones != (rect if ln.tree.output_at(h) else 0):
+                raise SoundnessError(f"line {i}: protocol tree disagrees with the table")
+            if ones == 0:
+                good.append((h, xm, ym))
+        good_per_line.append(good)
+
+    builder = CircuitBuilder()
+    built: dict[tuple[int, str], int] = {}
+    entries, records = [], []
+    xfull, yfull = (1 << (1 << part.n1)) - 1, (1 << (1 << part.n2)) - 1
+
+    def walk(i, prefix, xm, ym, h):
+        j, k = lines[i].premises
+        tj, tk = lines[j].tree, lines[k].tree
+        dj = tj.depth
+        if len(prefix) == dj + tk.depth:
+            gate = built.get((j, prefix[:dj]))
+            if gate is None:
+                gate = built.get((k, prefix[dj:]))
+            if gate is None:
+                if xm == 0:
+                    gate = builder.const(0)
+                elif ym == 0:
+                    gate = builder.const(1)
+                else:
+                    raise SoundnessError(
+                        f"line {i}, history {h!r}: premises both reject "
+                        f"stacked leaf {prefix!r} on a nonempty rectangle"
+                    )
+        else:
+            tree, at = (tj, prefix) if len(prefix) < dj else (tk, prefix[dj:])
+            pred = tree.predicate_at(at)
+            if tree.owner_at(at) == ALICE:
+                g0 = walk(i, prefix + "0", xm & ~pred & xfull, ym, h)
+                g1 = walk(i, prefix + "1", xm & pred, ym, h)
+                gate = builder.gate_or(g0, g1)
+            else:
+                g0 = walk(i, prefix + "0", xm, ym & ~pred & yfull, h)
+                g1 = walk(i, prefix + "1", xm, ym & pred, h)
+                gate = builder.gate_and(g0, g1)
+        records.append((i, h, prefix, gate, xm, ym))
+        return gate
+
+    for i, ln in enumerate(lines):
+        if ln.axiom is not None:
+            clause = formula.clauses[ln.axiom - 1]
+            xlits = sorted(clause.side_literals(part.xset), key=lambda l: l.var)
+            alpha = tuple(int(lit.negated) for lit in xlits)
+        for h, xm, ym in good_per_line[i]:
+            if ln.axiom is None:
+                gate = walk(i, "", xm, ym, h)
+            elif xm and ym:
+                gate = builder.input_gate(ln.axiom, alpha)
+            else:
+                continue
+            built[(i, h)] = gate
+            entries.append(CompiledLineCircuit(i, h, gate))
+    final = built.get((len(lines) - 1, ""))
+    if final is None:
+        raise SoundnessError("final line produced no circuit for the empty history")
+    circuit = builder.build(final)
+    kmax = max(ln.tree.depth for ln in lines)
+    report = CompileReport(
+        line_count=len(lines),
+        gate_count=circuit.gate_count,
+        max_protocol_depth=kmax,
+        size_estimate=len(lines) * (1 << kmax),
+        size_bound=len(lines) * (1 << (3 * kmax)),
+    )
+    return circuit, tuple(entries), report, tuple(records)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import separator_bound_oracle
+from helpers import plain_walk_oracle, separator_bound_oracle
 from proofbench.circuit import (
     cc_lines_from_resolution,
     compile_cc_refutation,
@@ -227,7 +227,10 @@ def test_criterion_03_claim_invariant():
     part = VariablePartition((1,), (2,))
     refutation = resolution_refutation_from_dpll(f)
     cc = cc_lines_from_resolution(refutation, part)
-    result = compile_cc_refutation(cc, f, part, record_nodes=True)
+    result = compile_cc_refutation(cc, f, part)
+    # the plain walk builds the same circuit and records every stacked node
+    circuit, entries, _, records = plain_walk_oracle(cc, f, part)
+    assert (circuit, entries) == (result.circuit, result.entries)
     graph = build_constraint_graph(f, part)
     u_vals = [
         eval_gates(result.circuit, accepting_instance(graph, part.x_assignment(x)))
@@ -247,11 +250,11 @@ def test_criterion_03_claim_invariant():
                 if u_vals[x][entry.gate] != 1 or v_vals[y][entry.gate] != 0:
                     violations += 1
     # the stronger per-node statement, enumerated over triple intersections
-    for node in result.node_records:
+    for *_, gate, xmask, ymask in records:
         for x in range(1 << part.n1):
             for y in range(1 << part.n2):
-                if (node.xmask >> x) & 1 and (node.ymask >> y) & 1:
-                    if u_vals[x][node.gate] != 1 or v_vals[y][node.gate] != 0:
+                if (xmask >> x) & 1 and (ymask >> y) & 1:
+                    if u_vals[x][gate] != 1 or v_vals[y][gate] != 0:
                         violations += 1
     assert violations == 0
     elapsed = time.perf_counter() - t0

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_satisfying, extraction_oracle, random_formula, unsat_3cnfs
+from helpers import (
+    count_satisfying,
+    extraction_oracle,
+    plain_walk_oracle,
+    random_formula,
+    unsat_3cnfs,
+)
 from proofbench.circuit import (
     CcLine,
     CircuitBuilder,
@@ -78,13 +84,18 @@ CP_ROUTE_DIGEST = "c96d55cc0a1eb5c925b64dd9263809909511b81caa4737709c5e21f71e3b3
 ROUNDTRIP_BATCH = [("complete2", parse_dimacs(COMPLETE_2CNF)), *unsat_3cnfs()]
 
 
-def compile_complete(record_nodes=False):
+def compile_complete():
     f = parse_dimacs(COMPLETE_2CNF)
     part = VariablePartition((1,), (2,))
     refutation = resolution_refutation_from_dpll(f)
     cc = cc_lines_from_resolution(refutation, part)
-    result = compile_cc_refutation(cc, f, part, record_nodes=record_nodes)
+    result = compile_cc_refutation(cc, f, part)
     return f, part, cc, result
+
+
+def halves(n):
+    """The first half of the variables on X, the rest on Y."""
+    return VariablePartition(tuple(range(1, n // 2 + 1)), tuple(range(n // 2 + 1, n + 1)))
 
 
 def instance_gate_values(circuit, f, part):
@@ -161,17 +172,20 @@ class TestCompileComplete2Cnf:
                 assert v_vals[y][entry.gate] == 0
 
     def test_stronger_node_invariant(self):
-        # every stacked-tree node is correct on its triple intersection
-        f, part, cc, result = compile_complete(record_nodes=True)
-        assert result.node_records
+        # every stacked-tree node of the plain walk, which builds the same
+        # circuit, is correct on its triple intersection
+        f, part, cc, result = compile_complete()
+        circuit, entries, _, records = plain_walk_oracle(cc, f, part)
+        assert (circuit, entries) == (result.circuit, result.entries)
+        assert records
         u_vals, v_vals = instance_gate_values(result.circuit, f, part)
-        for node in result.node_records:
+        for *_, gate, xmask, ymask in records:
             for x in range(1 << part.n1):
-                if (node.xmask >> x) & 1:
-                    assert u_vals[x][node.gate] == 1
+                if (xmask >> x) & 1:
+                    assert u_vals[x][gate] == 1
             for y in range(1 << part.n2):
-                if (node.ymask >> y) & 1:
-                    assert v_vals[y][node.gate] == 0
+                if (ymask >> y) & 1:
+                    assert v_vals[y][gate] == 0
 
     def test_one_rectangle_per_history(self, monkeypatch):
         # the agreement check and the good histories share one rectangle per
@@ -322,6 +336,34 @@ class TestCompilePreconditions:
         )
         with pytest.raises(SoundnessError, match="depth-0"):
             compile_cc_refutation(bad, f, part)
+
+    @pytest.mark.parametrize(
+        "name, a, b, message",
+        [
+            ("complete2", 4, 5,
+             "line 4, history '00': premises both reject stacked leaf '1011' "
+             "on a nonempty rectangle"),
+            ("n8-0", 60, 62,
+             "line 60, history '00': premises both reject stacked leaf '0101' "
+             "on a nonempty rectangle"),
+        ],
+        ids=["complete2", "n8-0"],
+    )
+    def test_premises_both_reject(self, monkeypatch, name, a, b, message):
+        # Lines a and b trade premises, and the entailment check is told to
+        # accept them: a stacked leaf that both premises reject then meets a
+        # good history's rectangle, which validation otherwise rules out.
+        f = dict(ROUNDTRIP_BATCH)[name]
+        part = VariablePartition.alternating(f.n)
+        cc = cc_lines_from_resolution(resolution_refutation_from_dpll(f), part)
+        bad = list(cc)
+        bad[a] = replace(cc[a], premises=cc[b].premises)
+        bad[b] = replace(cc[b], premises=cc[a].premises)
+        monkeypatch.setattr("proofbench.circuit.check_semantic_step", lambda *args: True)
+        for compile_fn in (compile_cc_refutation, plain_walk_oracle):
+            with pytest.raises(SoundnessError) as info:
+                compile_fn(bad, f, part)
+            assert str(info.value) == message
 
 
 class TestCpProofCompilation:
@@ -805,11 +847,11 @@ class TestCircuitText:
             parse_circuit("g1 = const0\noutput g1\n")
 
 
-def cp_route_batch(count=6, n=8, m=60):
-    """Unsat random 3-CNFs on the alternating partition, each with the
-    compiler lines of its generated cutting-planes refutation.
+def cp_route_batch(count=6, n=8, m=60, part=None):
+    """Unsat random 3-CNFs, each with the compiler lines of its generated
+    cutting-planes refutation, on the alternating partition by default.
     """
-    part = VariablePartition.alternating(n)
+    part = part or VariablePartition.alternating(n)
     batch, index = [], 0
     while len(batch) < count:
         f = sample_f(DistributionParams(m, n, 3, derive_seed(7, "cp-memo", index)))
@@ -823,18 +865,32 @@ def cp_route_batch(count=6, n=8, m=60):
     return batch
 
 
+def matches_plain_walk(cc, f, part):
+    """Compile and the plain walk agree on circuit text, entries and report."""
+    result = compile_cc_refutation(cc, f, part)
+    circuit, entries, report, _ = plain_walk_oracle(cc, f, part)
+    text = serialize_circuit(result.circuit)
+    assert text == serialize_circuit(circuit)
+    assert result.entries == entries
+    assert result.report == report
+    return result
+
+
 class TestMemoizedWalk:
+    """Compile's two-stage walk against the plain walk it replaced."""
+
     def test_matches_plain_walk_on_cp_proofs(self):
-        # record_nodes=True walks every stacked node without the memo; it is
-        # the reference for the memoized default path
         texts = []
         for f, part, cc in cp_route_batch():
-            fast = compile_cc_refutation(cc, f, part)
-            plain = compile_cc_refutation(cc, f, part, record_nodes=True)
-            text = serialize_circuit(fast.circuit)
-            assert text == serialize_circuit(plain.circuit)
-            assert fast.entries == plain.entries
-            assert verify_separation(fast.circuit, f, part).passed
-            texts.append(text)
+            result = matches_plain_walk(cc, f, part)
+            assert verify_separation(result.circuit, f, part).passed
+            texts.append(serialize_circuit(result.circuit))
         digest = hashlib.sha256("".join(texts).encode()).hexdigest()
         assert digest == CP_ROUTE_DIGEST
+        wider = cp_route_batch(count=2, n=10, m=90) + cp_route_batch(count=2, part=halves(8))
+        for f, part, cc in wider:
+            matches_plain_walk(cc, f, part)
+        for _, f in ROUNDTRIP_BATCH:
+            refutation = resolution_refutation_from_dpll(f)
+            for part in (VariablePartition.alternating(f.n), halves(f.n)):
+                matches_plain_walk(cc_lines_from_resolution(refutation, part), f, part)

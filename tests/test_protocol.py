@@ -1,11 +1,23 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import good_histories_oracle, random_formula
+from helpers import (
+    clause_tree_oracle,
+    full_history_masks_oracle,
+    good_histories_oracle,
+    history_masks_oracle,
+    inequality_tree_oracle,
+    random_formula,
+    run_protocol_oracle,
+)
 from proofbench.cnf import (
     Assignment,
     Clause,
+    Literal,
     VariablePartition,
     eval_clause,
 )
@@ -15,7 +27,9 @@ from proofbench.protocol import (
     RealProtocolRound,
     clause_protocol,
     constant_tree,
+    full_history_masks,
     good_histories,
+    history_masks,
     inequality_protocol,
     materialize_rectangle,
     real_protocol_eval,
@@ -243,6 +257,57 @@ class TestTreeStructure:
                     tree.predicate_at(prefix)
             for bits in iproduct("01", repeat=tree.depth):
                 assert tree.output_at("".join(bits)) in (0, 1)
+
+
+@st.composite
+def trees_with_oracles(draw):
+    """A random clause or inequality tree on the alternating or the halves
+    partition, with the same tree built as string-keyed dicts.
+    """
+    n = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        part = VariablePartition.alternating(n)
+    else:
+        part = VariablePartition(tuple(range(1, n // 2 + 1)), tuple(range(n // 2 + 1, n + 1)))
+    if draw(st.booleans()):
+        variables = draw(st.lists(st.integers(1, n), min_size=1, max_size=4, unique=True))
+        clause = Clause(tuple(Literal(v, draw(st.booleans())) for v in sorted(variables)))
+        return clause_protocol(clause, part), clause_tree_oracle(clause, part)
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    ineq = LinearInequality(tuple(coeffs), draw(st.integers(-8, 8)))
+    return inequality_protocol(ineq, part), inequality_tree_oracle(ineq, part)
+
+
+class TestTreesMatchDictOracle:
+    """Heap-ordered trees read through the string API against the
+    string-keyed construction they replaced.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(trees_with_oracles())
+    def test_every_prefix_and_run(self, pair):
+        tree, oracle = pair
+        assert tree.depth == oracle.depth
+        for depth in range(tree.depth + 1):
+            for bits in product("01", repeat=depth):
+                prefix = "".join(bits)
+                if depth < tree.depth:
+                    assert tree.owner_at(prefix) == oracle.owner_at(prefix)
+                    assert tree.predicate_at(prefix) == oracle.predicate_at(prefix)
+                else:
+                    assert tree.output_at(prefix) == oracle.output_at(prefix)
+                    with pytest.raises(KeyError):
+                        tree.owner_at(prefix)
+                assert history_masks(tree, prefix) == history_masks_oracle(oracle, prefix)
+        # the same histories in the same (leaf) order
+        got = list(full_history_masks(tree).items())
+        assert got == sorted(full_history_masks_oracle(oracle).items())
+        part = tree.part
+        xs = [part.x_assignment(x) for x in range(1 << part.n1)]
+        ys = [part.y_assignment(y) for y in range(1 << part.n2)]
+        for x_idx, x in enumerate(xs):
+            for y_idx, y in enumerate(ys):
+                assert run_protocol(tree, x, y) == run_protocol_oracle(oracle, x_idx, y_idx)
 
 
 class TestTableBuilders:
