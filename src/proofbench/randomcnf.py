@@ -13,13 +13,17 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Iterable, Mapping
+from functools import reduce
+from itertools import chain, islice, repeat
+from operator import and_, eq, or_, rshift
+from typing import Iterable, Mapping, Sequence
 
-from .bitops import bit_plane, full_mask, iter_bits
+from .bitops import bit_plane, full_mask, iter_bits, spread
 from .cnf import (
     SOLVER_CAP,
     Clause,
@@ -60,18 +64,29 @@ class DistributionParams:
             raise ValueError(f"width d={self.d} must satisfy 1 <= d <= n={self.n}")
 
 
-def _sample_clause(rng: random.Random, pool: list, d: int, shift: int = 0) -> Clause:
-    # Partial Fisher-Yates prefix gives d distinct variables; signs are
-    # drawn in sampled order, then literals are stored sorted by variable.
+def _literal_table(n: int, shift: int = 0) -> list[Literal]:
+    """Literal(v + shift, negated) at index 2 (v - 1) + negated, for v = 1..n."""
+    return [
+        Literal(v, negated)
+        for v in range(shift + 1, shift + n + 1)
+        for negated in (False, True)
+    ]
+
+
+def _sample_literals(
+    rng: random.Random, pool: list[int], d: int, table: list[Literal]
+) -> tuple[Literal, ...]:
+    # Partial Fisher-Yates prefix gives d distinct pool entries (0-based
+    # variables); signs are drawn in sampled order, then the literals are
+    # stored sorted by variable, which is the order of their table indices.
     # Undoing the swaps in reverse order hands the next draw the same pool.
     swaps = [(t, rng.randrange(t, len(pool))) for t in range(d)]
     for t, j in swaps:
         pool[t], pool[j] = pool[j], pool[t]
-    lits = [Literal(v + shift, bool(rng.getrandbits(1))) for v in pool[:d]]
+    picks = sorted([2 * v + rng.getrandbits(1) for v in pool[:d]])
     for t, j in reversed(swaps):
         pool[t], pool[j] = pool[j], pool[t]
-    lits.sort(key=lambda lit: lit.var)
-    return Clause(tuple(lits))
+    return tuple(map(table.__getitem__, picks))
 
 
 def sample_f(params: DistributionParams) -> CnfFormula:
@@ -79,8 +94,11 @@ def sample_f(params: DistributionParams) -> CnfFormula:
     replacement. Deterministic in the seed.
     """
     rng = random.Random(params.seed)
-    pool = list(range(1, params.n + 1))
-    clauses = tuple(_sample_clause(rng, pool, params.d) for _ in range(params.m))
+    pool = list(range(params.n))
+    table = _literal_table(params.n)
+    clauses = tuple(
+        Clause(_sample_literals(rng, pool, params.d, table)) for _ in range(params.m)
+    )
     return CnfFormula(params.n, clauses)
 
 
@@ -91,14 +109,17 @@ def sample_tensor(params: DistributionParams) -> tuple[CnfFormula, VariableParti
     rng_x = random.Random(derive_seed(params.seed, "tensor-x"))
     rng_y = random.Random(derive_seed(params.seed, "tensor-y"))
     n, d = params.n, params.d
-    pool = list(range(1, n + 1))
-    clauses = []
-    for _ in range(params.m):
-        left = _sample_clause(rng_x, pool, d)
-        right = _sample_clause(rng_y, pool, d, shift=n)
-        clauses.append(Clause(left.literals + right.literals))
+    pool = list(range(n))
+    x_table, y_table = _literal_table(n), _literal_table(n, shift=n)
+    clauses = tuple(
+        Clause(
+            _sample_literals(rng_x, pool, d, x_table)
+            + _sample_literals(rng_y, pool, d, y_table)
+        )
+        for _ in range(params.m)
+    )
     part = VariablePartition(tuple(range(1, n + 1)), tuple(range(n + 1, 2 * n + 1)))
-    return CnfFormula(2 * n, tuple(clauses)), part
+    return CnfFormula(2 * n, clauses), part
 
 
 # --- unsatisfiability rate ---------------------------------------------------
@@ -227,6 +248,7 @@ def expansion_report(
     m = len(var_sets)
     if trials < 1 and min(s_max, m) > EXPANSION_EXACT_UP_TO:
         raise ValueError("sampled sizes need trials to be at least 1")
+    var_masks = [sum(1 << v for v in vs) for vs in var_sets]
     rows = []
     for s in range(1, min(s_max, m) + 1):
         threshold = (1 - epsilon) * d * s
@@ -241,13 +263,14 @@ def expansion_report(
                 min_vars = _min_pair_union(var_sets)
             mode, used = "exact", None
         else:
+            # A draw's coverage is the popcount of its clauses' variable masks.
+            pick = var_masks.__getitem__
             rng = random.Random(derive_seed(seed, "expansion", s))
-            min_vars = None
-            for _ in range(trials):
-                subset = rng.sample(range(m), s)
-                count = len(frozenset().union(*(var_sets[i] for i in subset)))
-                if min_vars is None or count < min_vars:
-                    min_vars = count
+            indices = range(m)
+            min_vars = min(
+                reduce(or_, map(pick, rng.sample(indices, s))).bit_count()
+                for _ in range(trials)
+            )
             mode, used = "sampled", trials
         rows.append(
             ExpansionRow(s, min_vars, threshold, mode, used, min_vars >= threshold)
@@ -292,6 +315,52 @@ def _profile_of(alpha: int, masks: list[tuple[int, int]]) -> frozenset[int]:
     )
 
 
+def _block_labels(
+    block: list[tuple[int, int]], lanes: list[int], ones: int, size: int
+) -> memoryview:
+    """Per assignment a < ``size``, a 64-bit label whose bit i says whether a
+    falsifies clause i of ``block`` (at most 64 (mask, pattern) pairs).
+
+    ``lanes[p]`` holds bit p of a in byte a and ``ones`` holds 1 in every
+    byte, so a clause's falsifying subcube is the AND of its lanes or their
+    complements. Eight clauses, shifted to bits 0..7, share one byte per
+    assignment, and eight such byte strings interleave into one label per
+    8 bytes. Labels are only compared for equality, so byte order is moot.
+    """
+    buf = bytearray(8 * size)
+    for g in range(0, len(block), 8):
+        byte = 0
+        for j, (mask, pattern) in enumerate(block[g : g + 8]):
+            cube = ones
+            for p in iter_bits(mask):
+                cube &= lanes[p] if pattern >> p & 1 else ones ^ lanes[p]
+            byte |= cube << j
+        buf[g >> 3 :: 8] = byte.to_bytes(size, "little")
+    return memoryview(buf).cast("Q")
+
+
+def _split_classes(
+    classes: list[Sequence[int]], labels: memoryview, n: int
+) -> list[array]:
+    """Each class split into its groups of equal label, groups of one
+    dropped, every group in increasing order.
+
+    One sort of (class, label, assignment) keys puts each group in a run;
+    a byte per neighbouring pair marks equal (class, label) heads, and the
+    runs of 1s among those bytes are the groups of two or more.
+    """
+    low = full_mask(n)
+    keys = sorted(
+        (c << 64 | labels[a]) << n | a for c, cls in enumerate(classes) for a in cls
+    )
+    heads = map(rshift, keys, repeat(n))
+    same = bytes(map(eq, heads, map(rshift, islice(keys, 1, None), repeat(n))))
+    return [
+        array("L", map(and_, keys[run.start() : run.end() + 1], repeat(low)))
+        for run in re.finditer(rb"\x01+", same)
+    ]
+
+
 def profile_distinctness(
     formula: CnfFormula,
     mode: str = "exact",
@@ -300,12 +369,12 @@ def profile_distinctness(
 ) -> ProfileReport:
     """Whether distinct assignments falsify distinct clause sets.
 
-    Exact mode covers all 2^n assignments. It splits them, clause by clause,
-    into classes that falsify the same clauses so far, and drops a class as
-    soon as it holds one assignment. Every pair in a final class collides:
-    ``collisions`` is the sum of (class size - 1), and the witness is the
-    lowest two assignments of the class whose second lowest is smallest,
-    the first repeat in index order. Sampled mode compares random
+    Exact mode covers all 2^n assignments. It splits them, 64 clauses at a
+    time, into classes that falsify the same clauses so far, and drops a
+    class as soon as it holds one assignment. Every pair in a final class
+    collides: ``collisions`` is the sum of (class size - 1), and the witness
+    is the lowest two assignments of the class whose second lowest is
+    smallest, the first repeat in index order. Sampled mode compares random
     assignment pairs.
     """
     n = formula.n
@@ -314,33 +383,31 @@ def profile_distinctness(
     if mode == "exact":
         if n > EXACT_CAP:
             raise CapExceededError(f"exact profiles need n <= {EXACT_CAP}, got {n}")
+        size = 1 << n
         # Classes of assignments with equal profiles so far, each in
         # increasing order; a class of one can never collide and is dropped.
-        classes = [list(range(1 << n))] if n else []
-        for mask, pattern in masks:
+        classes: list[Sequence[int]] = [range(size)] if n else []
+        ones = spread(full_mask(size), 8)
+        lanes = [spread(bit_plane(p, n), 8) for p in range(n)]
+        for start in range(0, len(masks), 64):
             if not classes:
                 break
-            refined = []
-            for cls in classes:
-                hit = [a for a in cls if a & mask == pattern]
-                if not hit or len(hit) == len(cls):
-                    refined.append(cls)
-                    continue
-                if len(hit) > 1:
-                    refined.append(hit)
-                if len(cls) - len(hit) > 1:
-                    refined.append([a for a in cls if a & mask != pattern])
-            classes = refined
+            labels = _block_labels(masks[start : start + 64], lanes, ones, size)
+            classes = _split_classes(classes, labels, n)
         collisions = sum(len(cls) - 1 for cls in classes)
         witness = min(
             ((cls[0], cls[1]) for cls in classes), key=lambda w: w[1], default=None
         )
         return ProfileReport(
-            "exact", collisions == 0, 1 << n, collisions, witness, seed
+            "exact", collisions == 0, size, collisions, witness, seed
         )
     if mode == "sampled":
         if trials < 1:
             raise ValueError("sampled mode needs trials to be at least 1")
+        if n == 0:
+            raise ValueError(
+                "sampled mode needs a variable to draw: the formula has n=0"
+            )
         rng = random.Random(derive_seed(seed, "profiles"))
         collisions = 0
         witness = None

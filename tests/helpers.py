@@ -164,6 +164,25 @@ def min_pair_union_oracle(var_sets: list[frozenset[int]]) -> int:
     )
 
 
+def sampled_min_union_oracle(
+    var_sets: list[frozenset[int]], s: int, trials: int, seed: int
+) -> int:
+    """The expansion report's sampled size-s minimum: the same subset draws,
+    each covered by a frozenset union.
+    """
+    from proofbench.randomcnf import derive_seed
+
+    m = len(var_sets)
+    rng = random.Random(derive_seed(seed, "expansion", s))
+    min_vars = None
+    for _ in range(trials):
+        subset = rng.sample(range(m), s)
+        count = len(frozenset().union(*(var_sets[i] for i in subset)))
+        if min_vars is None or count < min_vars:
+            min_vars = count
+    return min_vars
+
+
 def profile_oracle(formula: CnfFormula) -> tuple[int, tuple[int, int] | None]:
     """(collisions, witness) of the exact profiles report: one profile list
     per assignment, filled clause by clause, then compared in index order.

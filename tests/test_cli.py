@@ -524,6 +524,23 @@ class TestStats:
         assert not report.exists()
         assert "n >= 2" in capsys.readouterr().err
 
+    def test_sampled_profiles_without_variables_exits_2(self, tmp_path, capsys):
+        # every draw is the empty assignment, so no pair would be compared
+        cnf = tmp_path / "empty.cnf"
+        cnf.write_text("p cnf 0 0\n")
+        report = tmp_path / "pr.json"
+        code = main(
+            ["stats", "--stat", "profiles", "--mode", "sampled", "--trials", "5",
+             "--cnf", str(cnf), "--n", "1", "--d", "1", "--m", "1",
+             "--report", str(report)]
+        )
+        assert code == 2
+        assert not report.exists()
+        assert capsys.readouterr().err == (
+            "proofbench: error: sampled mode needs a variable to draw: "
+            "the formula has n=0\n"
+        )
+
 
 class TestErrors:
     def test_unknown_command_exits_two(self):

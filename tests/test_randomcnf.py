@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -14,6 +14,7 @@ from helpers import (
     profile_oracle,
     sample_f_oracle,
     sample_tensor_oracle,
+    sampled_min_union_oracle,
 )
 from proofbench.cnf import Clause, CnfFormula, Literal, VariablePartition, parse_dimacs
 from proofbench.errors import CapExceededError, ScopeError
@@ -76,6 +77,22 @@ class TestSampling:
             params = DistributionParams(rng.randint(1, 300), n, d, rng.getrandbits(48))
             assert sample_f(params) == sample_f_oracle(params), params
             assert sample_tensor(params)[0] == sample_tensor_oracle(params), params
+
+    @pytest.mark.parametrize(
+        "m, n, d",
+        [(1500, 14, 3), (1200, 300, 6), (2048, 128, 16), (400, 32, 6)],
+        ids=["profiles", "expansion", "heavy-partition", "heavy-sat"],
+    )
+    def test_report_sizes_match_fresh_pools(self, m, n, d):
+        # the sizes the stats reports are benchmarked at
+        params = DistributionParams(m, n, d, derive_seed(31, "report-size", n))
+        assert sample_f(params) == sample_f_oracle(params)
+
+    def test_full_width_tensor_matches_fresh_pools(self):
+        # d = n: every draw swaps through the whole pool on both sides
+        for n in (1, 5, 16):
+            params = DistributionParams(300, n, n, derive_seed(37, "full-width", n))
+            assert sample_tensor(params)[0] == sample_tensor_oracle(params)
 
     def test_sign_balance(self):
         positives = 0
@@ -257,6 +274,18 @@ class TestProfiles:
         f = parse_dimacs("p cnf 2 1\n1 2 0\n")
         with pytest.raises(ValueError, match="trials"):
             profile_distinctness(f, mode="sampled", trials=0)
+
+    def test_sampled_without_variables(self):
+        # every draw of a formula with no variables is the same assignment,
+        # so no pair could be compared
+        f = parse_dimacs("p cnf 0 0\n")
+        with pytest.raises(
+            ValueError,
+            match="^sampled mode needs a variable to draw: the formula has n=0$",
+        ):
+            profile_distinctness(f, mode="sampled", trials=5)
+        exact = profile_distinctness(f)
+        assert (exact.rows_checked, exact.collisions, exact.distinct) == (1, 0, True)
 
 
 class TestEntropyAndBounds:
@@ -449,21 +478,42 @@ def ragged_formulas(draw, max_n=7, max_m=10):
     if n == 0:
         return CnfFormula(0, ())
     shared = draw(st.booleans())
-
-    @st.composite
-    def clauses(draw):
-        variables = draw(st.sets(st.integers(1, n), min_size=1, max_size=n))
-        if shared:
-            variables.add(1)
-        return Clause(tuple(Literal(v, draw(st.booleans())) for v in sorted(variables)))
-
-    pool = draw(st.lists(clauses(), min_size=1, max_size=max_m))
+    pool = draw(st.lists(clauses_over(n, shared), min_size=1, max_size=max_m))
     chosen = draw(st.lists(st.sampled_from(pool), max_size=max_m))
+    return CnfFormula(n, tuple(chosen))
+
+
+@st.composite
+def clauses_over(draw, n, shared=False):
+    """A clause over variables 1..n, containing variable 1 if ``shared``."""
+    variables = draw(st.sets(st.integers(1, n), min_size=1, max_size=n))
+    if shared:
+        variables.add(1)
+    return Clause(tuple(Literal(v, draw(st.booleans())) for v in sorted(variables)))
+
+
+@st.composite
+def block_spanning_formulas(draw):
+    """Up to 200 clauses over n <= 9 variables, drawn from a pool of at most
+    six, so that classes of colliding assignments outlive several 64-clause
+    blocks of the exact profiles kernel.
+    """
+    n = draw(st.integers(1, 9))
+    pool = draw(st.lists(clauses_over(n), min_size=1, max_size=6))
+    m = draw(st.integers(0, 200))
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
     return CnfFormula(n, tuple(chosen))
 
 
 def _formula(n, *clauses):
     return CnfFormula(n, tuple(Clause.from_signed(c) for c in clauses))
+
+
+def _last_clause_splits(m):
+    """m clauses: m - 1 copies of one clause, then the only clause that
+    splits the classes the copies leave, at index m - 1 of the block order.
+    """
+    return _formula(5, *[[1, -2]] * (m - 1), [3, -4, 5])
 
 
 SHARED_VAR = _formula(5, [1, 2], [-1, 3, 4], [1, -5], [-1, 2, 3, 4, 5], [1])
@@ -498,6 +548,43 @@ class TestKernelsMatchOracles:
         assert report.rows_checked == 1 << f.n
         assert (report.collisions, report.witness) == profile_oracle(f)
         assert report.distinct == (report.collisions == 0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(block_spanning_formulas())
+    @example(_last_clause_splits(63))
+    @example(_last_clause_splits(64))
+    @example(_last_clause_splits(65))
+    @example(_last_clause_splits(128))
+    @example(_last_clause_splits(129))
+    @example(CnfFormula(1, ()))
+    @example(CnfFormula(6, ()))
+    def test_profiles_across_blocks(self, f):
+        report = profile_distinctness(f)
+        assert report.rows_checked == 1 << f.n
+        assert (report.collisions, report.witness) == profile_oracle(f)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ragged_formulas(max_m=12),
+        st.sampled_from([3, 4]),
+        st.integers(1, 20),
+        st.integers(0, 2**32),
+    )
+    @example(SHARED_VAR, 3, 1, 0)
+    @example(REPEATED, 4, 25, 7)
+    def test_sampled_expansion(self, f, s_max, trials, seed):
+        assume(f.m >= 3)
+        report = expansion_report(
+            f, Fraction(1, 2), s_max, trials=trials, seed=seed,
+            allow_beyond_regime=True,
+        )
+        var_sets = [c.vars for c in f.clauses]
+        sampled = [r for r in report.rows if r.mode == "sampled"]
+        assert [r.size for r in sampled] == list(range(3, min(s_max, f.m) + 1))
+        for row in sampled:
+            assert row.min_vars == sampled_min_union_oracle(
+                var_sets, row.size, trials, seed
+            )
 
     @settings(max_examples=100, deadline=None)
     @given(
