@@ -24,10 +24,12 @@ leaf, else Const1 when no y does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
 from .bitops import full_mask
-from .cnf import Clause, CnfFormula, Literal, VariablePartition, clause_to_inequality
+from .cnf import CnfFormula, Literal, VariablePartition, clause_to_inequality
 from .circuit_text import parse_circuit, serialize_circuit
 from .cpproof import (
     Addition,
@@ -37,7 +39,7 @@ from .cpproof import (
     Hypothesis,
     ProofLine,
     ResolutionRefutation,
-    cp_lines_to_protocols,
+    cp_proof_lines,
     is_refutation_terminal,
     resolution_refutation_from_dpll,
 )
@@ -49,18 +51,13 @@ from .protocol import (
     ALICE,
     ProtocolTree,
     check_side_cap,
-    clause_protocol,
+    clause_line,
     constant_tree,
-    full_history_masks,
+    good_leaves,
     history_masks,
     two_bit_protocol,
 )
-from .semantics import (
-    SemanticLine,
-    check_semantic_step,
-    falsifying_mask,
-    rectangle_bits,
-)
+from .semantics import SemanticLine, check_semantic_step, falsifying_mask
 
 __all__ = [
     "CcLine",
@@ -220,7 +217,7 @@ def side_values(
 
 @dataclass(frozen=True)
 class CcLine:
-    """One refutation line: truth table, protocol tree, and its derivation."""
+    """One refutation line: row classes, protocol tree, and its derivation."""
 
     table: SemanticLine
     tree: ProtocolTree
@@ -240,12 +237,10 @@ def cc_lines_from_resolution(
     """
     out = []
     for line in refutation.lines:
-        table = SemanticLine.from_literals(line.literals, part)
         if line.literals:
-            lits = tuple(sorted(line.literals, key=lambda l: l.var))
-            tree = clause_protocol(Clause(lits), part)
+            table, tree = clause_line(line.literals, part)
         else:
-            tree = constant_tree(part, 0)
+            table, tree = SemanticLine.constant(part, 0), constant_tree(part, 0)
         out.append(CcLine(table, tree, axiom=line.axiom, premises=line.premises))
     return tuple(out)
 
@@ -257,9 +252,9 @@ def cc_lines_from_cp_proof(
     first refutation terminal (later steps cannot contribute).
 
     Hypothesis steps point back at the matching clause axiom, division at its
-    source twice, boolean axioms (constant-1 tables) at the first line twice;
-    every mapping is a sound two-premise step. The trees come from
-    ``cp_lines_to_protocols``, so a cap error names its proof line.
+    source twice, boolean axioms (constant-1 lines) at the first line twice;
+    every mapping is a sound two-premise step. The lines and trees come from
+    ``cp_proof_lines``, so a cap error names its proof line.
     """
     if len(proof.system) != formula.m:
         raise ValueError("system size differs from the clause count")
@@ -273,11 +268,7 @@ def cc_lines_from_cp_proof(
     if terminal is None:
         raise ValueError("the proof never reaches a refutation terminal")
     lines = [
-        CcLine(
-            SemanticLine.from_clause(clause, part),
-            clause_protocol(clause, part),
-            axiom=i + 1,
-        )
+        CcLine(*clause_line(clause.literals, part), axiom=i + 1)
         for i, clause in enumerate(formula.clauses)
     ]
     m = formula.m
@@ -292,9 +283,8 @@ def cc_lines_from_cp_proof(
         )
         for ln in proof.lines[: terminal + 1]
     )
-    trees = cp_lines_to_protocols(CpProof(proof.system, steps), part)
-    for line, tree in zip(steps, trees):
-        table = SemanticLine.from_inequality(line.ineq, part)
+    built = cp_proof_lines(CpProof(proof.system, steps), part)
+    for line, (table, tree) in zip(steps, built):
         just = line.justification
         if isinstance(just, Hypothesis):
             premises = (just.row - 1, just.row - 1)
@@ -342,14 +332,14 @@ def _validate_refutation(
     m = formula.m
     if len(lines) < m + 1:
         raise SoundnessError("refutation must contain the clauses and a final line")
-    clause_tables = [SemanticLine.from_clause(c, part).bits for c in formula.clauses]
+    clause_lines = [SemanticLine.from_clause(c, part) for c in formula.clauses]
     for i, ln in enumerate(lines):
         if i < m and ln.axiom != i + 1:
             raise SoundnessError(f"line {i} must be clause axiom {i + 1}")
         if ln.axiom is not None:
             if not 1 <= ln.axiom <= m:
                 raise SoundnessError(f"line {i}: axiom index {ln.axiom} out of range")
-            if ln.table.bits != clause_tables[ln.axiom - 1]:
+            if ln.table != clause_lines[ln.axiom - 1]:
                 raise SoundnessError(f"line {i}: table differs from clause {ln.axiom}")
         else:
             j, k = ln.premises
@@ -357,6 +347,10 @@ def _validate_refutation(
                 raise SoundnessError(f"line {i}: premises must be earlier lines")
             if not check_semantic_step(lines[j].table, lines[k].table, ln.table):
                 raise SoundnessError(f"line {i} is not entailed by its premises")
+            # the step holds vacuously where no class covers x
+            xs = [xm for xm, _ in ln.table.rows]
+            if sum(xs) != full_mask(1 << ln.table.n1) or reduce(or_, xs, 0) != sum(xs):
+                raise SoundnessError(f"line {i}: row classes do not partition x")
         if ln.tree.part != part:
             raise SoundnessError(f"line {i}: protocol tree uses another partition")
     if not lines[-1].table.is_constant(0):
@@ -378,20 +372,11 @@ def compile_cc_refutation(
     check_side_cap(part)
     _validate_refutation(lines, formula, part)
 
-    # One rectangle per (line, history) gives both the tree-vs-table check
-    # and the good (0-monochromatic, empty included) histories, in leaf order.
     good_per_line: list[list[tuple[int, str, int, int]]] = []
     for i, ln in enumerate(lines):
-        good = []
-        for leaf, (h, (xm, ym)) in enumerate(full_history_masks(ln.tree).items()):
-            rect = rectangle_bits(xm, ym, part.n2)
-            ones = ln.table.bits & rect
-            if ones != (rect if ln.tree.outputs[leaf] else 0):
-                raise SoundnessError(
-                    f"line {i}: protocol tree disagrees with the table"
-                )
-            if ones == 0:
-                good.append((leaf, h, xm, ym))
+        good = good_leaves(ln.tree, ln.table)
+        if good is None:
+            raise SoundnessError(f"line {i}: protocol tree disagrees with the table")
         good_per_line.append(good)
 
     # The walks below intern their OR and AND gates inline, under the keys
@@ -597,7 +582,7 @@ class ExtractionReport:
 @dataclass(frozen=True)
 class ExtractedRefutation:
     """One line per gate: gate g's line is 0 exactly where g accepts U(x) and
-    rejects V(y). Tables and two-bit trees are built on request.
+    rejects V(y). Lines and two-bit trees are built on request.
     """
 
     part: VariablePartition
@@ -606,9 +591,10 @@ class ExtractedRefutation:
     report: ExtractionReport
 
     def line(self, g: int) -> SemanticLine:
-        n1, n2 = self.part.n1, self.part.n2
-        zero = rectangle_bits(self.val_u[g], full_mask(1 << n2) ^ self.val_v[g], n2)
-        return SemanticLine(n1, n2, full_mask(1 << (n1 + n2)) ^ zero)
+        yfull = full_mask(1 << self.part.n2)
+        return SemanticLine.from_falsifying(
+            self.part, self.val_u[g], yfull ^ self.val_v[g]
+        )
 
     def tree(self, g: int) -> ProtocolTree:
         """Alice sends 0 iff g accepts U(x), Bob 0 iff g rejects V(y)."""

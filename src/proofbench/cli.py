@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import circuit as circuit_mod
@@ -447,10 +448,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: each ``add_argument`` reads the terminal size."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PASS
     try:

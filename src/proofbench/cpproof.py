@@ -10,7 +10,8 @@ from typing import Union
 from .cnf import CnfFormula, Literal, LogLine, VariablePartition, dpll
 from .errors import CapExceededError, ProofTextError, SatisfiableError
 from .linear import LinearInequality
-from .protocol import ProtocolTree, inequality_protocol
+from .protocol import ProtocolTree, inequality_line
+from .semantics import SemanticLine
 
 BOOL_AXIOM_LO = "lo"  # x_j >= 0
 BOOL_AXIOM_HI = "hi"  # -x_j >= -1
@@ -169,13 +170,22 @@ def cp_lines_to_protocols(
     proof: CpProof, part: VariablePartition
 ) -> tuple[ProtocolTree, ...]:
     """One sum-announcing protocol per proof line, in line order."""
-    trees = []
+    return tuple(tree for _, tree in cp_proof_lines(proof, part))
+
+
+def cp_proof_lines(
+    proof: CpProof, part: VariablePartition
+) -> list[tuple[SemanticLine, ProtocolTree]]:
+    """Each proof line's row classes and protocol, in line order; a cap
+    error names its line.
+    """
+    out = []
     for i, line in enumerate(proof.lines, start=1):
         try:
-            trees.append(inequality_protocol(line.ineq, part))
+            out.append(inequality_line(line.ineq, part))
         except CapExceededError as exc:
             raise CapExceededError(f"line {i}: {exc}")
-    return tuple(trees)
+    return out
 
 
 # --- proof text format ------------------------------------------------------

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Iterable
 
 from .bitops import full_mask, iter_bits, value_masks
-from .cnf import Assignment, Clause, VariablePartition
+from .cnf import Assignment, Clause, Literal, VariablePartition
 from .errors import CapExceededError
 from .linear import LinearInequality
-from .semantics import SemanticLine, falsifying_mask, rectangle_bits
+from .semantics import SemanticLine, check_table_cap, falsifying_mask, rectangle_bits
 
 ALICE = "alice"
 BOB = "bob"
@@ -109,6 +110,20 @@ def clause_protocol(clause: Clause, part: VariablePartition) -> ProtocolTree:
     return two_bit_protocol(part, xfull ^ xf, yfull ^ yf)
 
 
+def clause_line(
+    literals: Iterable[Literal], part: VariablePartition
+) -> tuple[SemanticLine, ProtocolTree]:
+    """``SemanticLine.from_literals`` and ``clause_protocol`` from one
+    ``falsifying_mask`` call, raising as they would in that order.
+    """
+    check_table_cap(part)
+    xf, yf = falsifying_mask(literals, part)
+    check_side_cap(part)
+    xfull, yfull = full_mask(1 << part.n1), full_mask(1 << part.n2)
+    tree = two_bit_protocol(part, xfull ^ xf, yfull ^ yf)
+    return SemanticLine.from_falsifying(part, xf, yf), tree
+
+
 def two_bit_protocol(
     part: VariablePartition, alice_pred: int, bob_pred: int
 ) -> ProtocolTree:
@@ -128,6 +143,13 @@ def inequality_protocol(
     final bit is the output. Degenerates to depth 0 when no variable has a
     nonzero coefficient.
     """
+    return inequality_line(ineq, part)[1]
+
+
+def inequality_line(
+    ineq: LinearInequality, part: VariablePartition
+) -> tuple[SemanticLine, ProtocolTree]:
+    """An inequality's line and its protocol from one partial-sum pass."""
     if ineq.n != part.n:
         raise ValueError("inequality arity does not match the partition")
     check_side_cap(part)
@@ -135,14 +157,15 @@ def inequality_protocol(
     amin, amax = min(asums), max(asums)
     by_asum = value_masks(asums)
     by_bsum = value_masks(bsums)
-    if amin == amax and len(by_bsum) == 1:
-        return constant_tree(part, int(amin + bsums[0] >= ineq.constant))
     w = (amax - amin).bit_length() if amax > amin else 0
     depth = w + 1
     if depth > DEPTH_CAP:
         raise CapExceededError(
             f"message width {w}+1 exceeds protocol depth cap {DEPTH_CAP}"
         )
+    line = SemanticLine.from_sums(part, by_asum, by_bsum, ineq.constant)
+    if amin == amax and len(by_bsum) == 1:
+        return line, constant_tree(part, int(amin + bsums[0] >= ineq.constant))
     # entry 0 is unused; levels 0..w-1 are Alice's, one mask per level, and
     # level w is Bob's
     preds = [0] * (1 << w)
@@ -155,7 +178,7 @@ def inequality_protocol(
             sum(ym for b, ym in by_bsum.items() if announced + b >= ineq.constant)
         )
     owners = (None,) + (ALICE,) * ((1 << w) - 1) + (BOB,) * (1 << w)
-    return ProtocolTree(part, depth, owners, tuple(preds), (0, 1) * (1 << w))
+    return line, ProtocolTree(part, depth, owners, tuple(preds), (0, 1) * (1 << w))
 
 
 def run_protocol(
@@ -228,6 +251,28 @@ def good_from_masks(
         for h in sorted(masks)
         if line.bits & rectangle_bits(*masks[h], line.n2) == 0
     ]
+
+
+def good_leaves(
+    tree: ProtocolTree, line: SemanticLine
+) -> list[tuple[int, str, int, int]] | None:
+    """(leaf, history, x mask, y mask) of every good history in leaf order,
+    or None if the tree disagrees with the line: on a nonempty rectangle, a
+    row class meeting its x mask is not all ones on its y mask under a leaf
+    that outputs 1, or not all zeros under one that outputs 0. The good
+    histories are then the empty rectangles and the leaves that output 0.
+    """
+    good = []
+    rows, outputs = line.rows, tree.outputs
+    for leaf, (h, (xm, ym)) in enumerate(full_history_masks(tree).items()):
+        if xm and ym:
+            want = ym if outputs[leaf] else 0
+            if any(cx & xm and row & ym != want for cx, row in rows):
+                return None
+            if want:
+                continue
+        good.append((leaf, h, xm, ym))
+    return good
 
 
 def good_histories(tree: ProtocolTree, line: SemanticLine) -> list[str]:

@@ -449,20 +449,20 @@ def heavy_side_counts(
     A clause is side-heavy when more than (1 - epsilon) * d of its variables
     sit on that side, d being the formula width.
     """
-    d = formula.width
-    cut = (1 - Fraction(epsilon)) * d
+    # an integer count exceeds the cut exactly when it exceeds its floor
+    cut = math.floor((1 - Fraction(epsilon)) * formula.width)
     z_x = z_y = 0
     incidence: dict[int, int] = {}
     for clause in formula.clauses:
-        x_count = len(clause.vars & part.xset)
-        y_count = len(clause.vars & part.yset)
-        if x_count > cut:
+        on_x = clause.vars & part.xset
+        on_y = clause.vars & part.yset
+        if len(on_x) > cut:
             z_x += 1
-            for v in clause.vars & part.xset:
+            for v in on_x:
                 incidence[v] = incidence.get(v, 0) + 1
-        if y_count > cut:
+        if len(on_y) > cut:
             z_y += 1
-            for v in clause.vars & part.yset:
+            for v in on_y:
                 incidence[v] = incidence.get(v, 0) + 1
     w_max = max(incidence.values(), default=0)
     return z_x, z_y, w_max

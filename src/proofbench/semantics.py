@@ -1,13 +1,20 @@
-"""Boolean proof lines as explicit truth tables over a variable partition.
+"""Boolean proof lines over a variable partition, stored as row classes.
 
-A table is one Python integer: bit ``(x_idx << n2) | y_idx`` holds the line's
-value at Alice input ``x_idx`` and Bob input ``y_idx`` (indices as produced by
-:meth:`proofbench.cnf.Assignment.to_index`).
+At Alice input ``x_idx`` a line is a row: bit ``y_idx`` of a 2^n2-bit mask
+holds its value at Bob input ``y_idx`` (indices as produced by
+:meth:`proofbench.cnf.Assignment.to_index`). A line is stored as row classes
+``(xmask, row)``: every Alice input in ``xmask`` sees ``row``, and the x
+masks are disjoint and cover all 2^n1 inputs. A clause has at most two
+classes, an inequality one per distinct Alice partial sum. In canonical form
+there is one class per distinct row, no x mask is empty and the rows
+increase, so two lines are equal exactly when their functions are. The
+2^n-bit truth table, bit ``(x_idx << n2) | y_idx``, is built on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .bitops import full_mask, spread, value_masks
@@ -63,7 +70,7 @@ def rectangle_bits(xmask: int, ymask: int, n2: int) -> int:
     return ymask * spread(xmask, 1 << n2)
 
 
-def _check_cap(part: VariablePartition) -> None:
+def check_table_cap(part: VariablePartition) -> None:
     if part.n > TABLE_CAP:
         raise CapExceededError(
             f"truth table over {part.n} variables exceeds cap {TABLE_CAP}"
@@ -72,41 +79,81 @@ def _check_cap(part: VariablePartition) -> None:
 
 @dataclass(frozen=True)
 class SemanticLine:
+    """A line as canonical row classes, built by the ``from_*`` methods."""
+
     n1: int
     n2: int
-    bits: int
+    rows: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def _canonical(
+        cls, n1: int, n2: int, classes: Iterable[tuple[int, int]]
+    ) -> "SemanticLine":
+        """Merge equal rows, drop empty x masks, and order by row."""
+        by_row: dict[int, int] = {}
+        for xm, row in classes:
+            if xm:
+                by_row[row] = by_row.get(row, 0) | xm
+        return cls(n1, n2, tuple((by_row[row], row) for row in sorted(by_row)))
+
+    @cached_property
+    def bits(self) -> int:
+        """The truth table; the classes' rectangles are disjoint."""
+        return sum(rectangle_bits(xm, row, self.n2) for xm, row in self.rows)
 
     @property
     def size(self) -> int:
         return 1 << (self.n1 + self.n2)
 
     def value(self, x_idx: int, y_idx: int) -> int:
-        return (self.bits >> ((x_idx << self.n2) | y_idx)) & 1
+        return (self.row(x_idx) >> y_idx) & 1
 
     def row(self, x_idx: int) -> int:
-        """Bob-indexed slice of the table at a fixed Alice input."""
-        return (self.bits >> (x_idx << self.n2)) & full_mask(1 << self.n2)
+        """Bob-indexed row at a fixed Alice input."""
+        for xm, row in self.rows:
+            if (xm >> x_idx) & 1:
+                return row
+        return 0
 
     def is_constant(self, bit: int) -> bool:
-        return self.bits == (full_mask(self.size) if bit else 0)
+        target = full_mask(1 << self.n2) if bit else 0
+        return all(row == target for _, row in self.rows)
 
     @classmethod
     def constant(cls, part: VariablePartition, bit: int) -> "SemanticLine":
-        _check_cap(part)
-        bits = full_mask(1 << part.n) if bit else 0
-        return cls(part.n1, part.n2, bits)
+        check_table_cap(part)
+        row = full_mask(1 << part.n2) if bit else 0
+        return cls(part.n1, part.n2, ((full_mask(1 << part.n1), row),))
+
+    @classmethod
+    def from_bits(cls, n1: int, n2: int, bits: int) -> "SemanticLine":
+        """The classes of a truth table."""
+        yfull = full_mask(1 << n2)
+        return cls._canonical(
+            n1, n2, ((1 << x, (bits >> (x << n2)) & yfull) for x in range(1 << n1))
+        )
+
+    @classmethod
+    def from_falsifying(
+        cls, part: VariablePartition, xf: int, yf: int
+    ) -> "SemanticLine":
+        """The line that is 0 exactly on the rectangle ``xf × yf``, as a
+        clause is on its falsifying masks.
+        """
+        xfull, yfull = full_mask(1 << part.n1), full_mask(1 << part.n2)
+        return cls._canonical(
+            part.n1, part.n2, ((xf, yfull ^ yf), (xfull ^ xf, yfull))
+        )
 
     @classmethod
     def from_literals(
         cls, literals: Iterable[Literal], part: VariablePartition
     ) -> "SemanticLine":
-        """Table of the clause with the given literals; an empty collection
-        yields the constant-0 table (the empty clause).
+        """Line of the clause with the given literals; an empty collection
+        yields the constant-0 line (the empty clause).
         """
-        _check_cap(part)
-        xf, yf = falsifying_mask(literals, part)
-        bits = full_mask(1 << part.n) ^ rectangle_bits(xf, yf, part.n2)
-        return cls(part.n1, part.n2, bits)
+        check_table_cap(part)
+        return cls.from_falsifying(part, *falsifying_mask(literals, part))
 
     @classmethod
     def from_clause(cls, clause: Clause, part: VariablePartition) -> "SemanticLine":
@@ -116,23 +163,36 @@ class SemanticLine:
     def from_inequality(
         cls, ineq: LinearInequality, part: VariablePartition
     ) -> "SemanticLine":
-        _check_cap(part)
+        check_table_cap(part)
         if ineq.n != part.n:
             raise ValueError("inequality arity does not match the partition")
         asums, bsums = part.partial_sums(ineq.coeffs)
-        by_bsum = value_masks(bsums)
-        bits = 0
-        for a, xm in value_masks(asums).items():
-            row = sum(ym for b, ym in by_bsum.items() if a + b >= ineq.constant)
-            bits |= rectangle_bits(xm, row, part.n2)
-        return cls(part.n1, part.n2, bits)
+        by_asum, by_bsum = value_masks(asums), value_masks(bsums)
+        return cls.from_sums(part, by_asum, by_bsum, ineq.constant)
+
+    @classmethod
+    def from_sums(
+        cls,
+        part: VariablePartition,
+        by_asum: dict[int, int],
+        by_bsum: dict[int, int],
+        constant: int,
+    ) -> "SemanticLine":
+        """The line ``a + b >= constant`` from each side's partial sums, as
+        ``value_masks`` gives them: one class per distinct Alice sum a.
+        """
+        rows = (
+            (xm, sum(ym for b, ym in by_bsum.items() if a + b >= constant))
+            for a, xm in by_asum.items()
+        )
+        return cls._canonical(part.n1, part.n2, rows)
 
     @classmethod
     def from_function(
         cls, part: VariablePartition, fn: Callable[[Assignment], bool]
     ) -> "SemanticLine":
         """Tabulate an arbitrary predicate of the joint assignment."""
-        _check_cap(part)
+        check_table_cap(part)
         bits = 0
         n2 = part.n2
         for x_idx in range(1 << part.n1):
@@ -140,11 +200,19 @@ class SemanticLine:
             for y_idx in range(1 << n2):
                 if fn(x.union(part.y_assignment(y_idx))):
                     bits |= 1 << ((x_idx << n2) | y_idx)
-        return cls(part.n1, part.n2, bits)
+        return cls.from_bits(part.n1, n2, bits)
 
 
 def check_semantic_step(f: SemanticLine, g: SemanticLine, h: SemanticLine) -> bool:
-    """True iff ``f(z) and g(z)`` implies ``h(z)`` for every joint input."""
+    """True iff ``f(z) and g(z)`` implies ``h(z)`` for every joint input:
+    wherever a class of f meets a class of g, the AND of their rows lies
+    inside the row of every class of h over those x.
+    """
     if not (f.n1 == g.n1 == h.n1 and f.n2 == g.n2 == h.n2):
         raise ValueError("semantic step requires identical table dimensions")
-    return (f.bits & g.bits & ~h.bits) & full_mask(f.size) == 0
+    for xf, rf in f.rows:
+        for xg, rg in g.rows:
+            xm, both = xf & xg, rf & rg
+            if xm and both and any(xh & xm and both & ~rh for xh, rh in h.rows):
+                return False
+    return True

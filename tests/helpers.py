@@ -150,6 +150,21 @@ def good_histories_oracle(tree, line, part) -> list[str]:
     return goods
 
 
+def table_oracle(part, holds) -> int:
+    """The truth table of ``holds`` on the variable-to-bit map of every joint
+    input, bit ``(x << n2) | y`` for side indices in ``Assignment.from_index``
+    order.
+    """
+    xs = [Assignment.from_index(part.xvars, i).as_map() for i in range(1 << part.n1)]
+    ys = [Assignment.from_index(part.yvars, i).as_map() for i in range(1 << part.n2)]
+    bits = 0
+    for x, xmap in enumerate(xs):
+        for y, ymap in enumerate(ys):
+            if holds(xmap | ymap):
+                bits |= 1 << ((x << part.n2) | y)
+    return bits
+
+
 # --- report kernel oracles -----------------------------------------------------
 # The exhaustive loops that the stats reports ran before their kernels.
 
@@ -242,6 +257,26 @@ def heavy_sat_oracle(formula: CnfFormula, part, side: str, epsilon) -> Fraction:
     return Fraction(good, 1 << k)
 
 
+def heavy_side_counts_oracle(formula: CnfFormula, part, epsilon):
+    """``heavy_side_counts`` comparing each count with the Fraction cut."""
+    d = formula.width
+    cut = (1 - Fraction(epsilon)) * d
+    z_x = z_y = 0
+    incidence: dict[int, int] = {}
+    for clause in formula.clauses:
+        x_count = len(clause.vars & part.xset)
+        y_count = len(clause.vars & part.yset)
+        if x_count > cut:
+            z_x += 1
+            for v in clause.vars & part.xset:
+                incidence[v] = incidence.get(v, 0) + 1
+        if y_count > cut:
+            z_y += 1
+            for v in clause.vars & part.yset:
+                incidence[v] = incidence.get(v, 0) + 1
+    return z_x, z_y, max(incidence.values(), default=0)
+
+
 # --- sampler oracle -------------------------------------------------------------
 # The clause sampler before it shared one variable pool per call: a fresh pool
 # per clause.
@@ -286,14 +321,23 @@ def sample_tensor_oracle(params) -> CnfFormula:
 # The table-based check that extraction ran before it checked rectangle covers.
 
 
+def semantic_step_oracle(f, g, h) -> bool:
+    """``check_semantic_step`` on truth tables: no joint input where f and g
+    are 1 and h is 0.
+    """
+    if not (f.n1 == g.n1 == h.n1 and f.n2 == g.n2 == h.n2):
+        raise ValueError("semantic step requires identical table dimensions")
+    return (f.bits & g.bits & ~h.bits) & ((1 << f.size) - 1) == 0
+
+
 def extraction_oracle(circuit, formula: CnfFormula, part, val_u, val_v):
-    """(report, line tables) of the extraction from side masks: one 2^n-bit
-    table per gate, 0 exactly where the gate accepts U(x) and rejects V(y),
-    and every entailment checked on tables by ``check_semantic_step``.
+    """(report, lines) of the extraction from side masks: one 2^n-bit table
+    per gate, 0 exactly where the gate accepts U(x) and rejects V(y), and
+    every entailment checked on tables by ``semantic_step_oracle``.
     """
     from proofbench.circuit import ExtractionReport
     from proofbench.gates import ConstGate, InputGate
-    from proofbench.semantics import SemanticLine, check_semantic_step
+    from proofbench.semantics import SemanticLine
 
     n1, n2 = part.n1, part.n2
     yfull = (1 << (1 << n2)) - 1
@@ -304,7 +348,7 @@ def extraction_oracle(circuit, formula: CnfFormula, part, val_u, val_v):
         for x in range(1 << n1):
             if (vu >> x) & 1:
                 zero |= (~vv & yfull) << (x << n2)
-        lines.append(SemanticLine(n1, n2, full ^ zero))
+        lines.append(SemanticLine.from_bits(n1, n2, full ^ zero))
     clause_tables = [SemanticLine.from_clause(c, part) for c in formula.clauses]
 
     problems = []
@@ -312,17 +356,17 @@ def extraction_oracle(circuit, formula: CnfFormula, part, val_u, val_v):
     for g, gate in enumerate(circuit.gates):
         if isinstance(gate, InputGate):
             axiom = clause_tables[gate.constraint - 1]
-            if not check_semantic_step(axiom, axiom, lines[g]):
+            if not semantic_step_oracle(axiom, axiom, lines[g]):
                 leaf_ok = False
                 problems.append(f"gate {g}: line not entailed by clause axiom")
         elif isinstance(gate, ConstGate):
-            if not lines[g].is_constant(1):
+            if lines[g].bits != full:
                 const_ok = False
                 problems.append(f"gate {g}: constant gate line is not constant 1")
-        elif not check_semantic_step(lines[gate.left], lines[gate.right], lines[g]):
+        elif not semantic_step_oracle(lines[gate.left], lines[gate.right], lines[g]):
             internal_ok = False
             problems.append(f"gate {g}: line not entailed by its children")
-    root_zero = lines[circuit.output].is_constant(0)
+    root_zero = lines[circuit.output].bits == 0
     if not root_zero:
         problems.append("output gate's line is not constant 0")
     report = ExtractionReport(

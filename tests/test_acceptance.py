@@ -19,6 +19,7 @@ from proofbench.circuit import (
     compile_cc_refutation,
     eval_gates,
     extract_cc2_refutation,
+    roundtrip,
     verify_separation,
 )
 from proofbench.cnf import (
@@ -46,6 +47,7 @@ from proofbench.cspsat import (
     csp_sat_eval,
     rejecting_instance,
 )
+from proofbench.errors import CapExceededError, SatisfiableError
 from proofbench.linear import LinearInequality
 from proofbench.protocol import (
     full_history_masks,
@@ -62,6 +64,7 @@ from proofbench.randomcnf import (
     heavy_side_counts,
     profile_distinctness,
     sample_f,
+    sample_tensor,
     unsat_rate,
 )
 from proofbench.semantics import SemanticLine, rectangle_bits
@@ -320,16 +323,16 @@ def unsat_n16():
 
 
 def test_compile_wall_time(unsat_n16):
-    # Every table, protocol and rectangle check goes through the side-index
-    # kernel; building an Assignment per side index instead took 0.7-1.0 s
-    # (Python 3.11, one core).
+    # Lines are row classes and every check runs on them: about 0.02 s
+    # (Python 3.11, one core), against 0.07 s with 2^16-bit tables and
+    # 0.7-1.0 s with an Assignment per side index.
     formula, refutation = unsat_n16
     part = VariablePartition.alternating(16)
     t0 = time.perf_counter()
     cc = cc_lines_from_resolution(refutation, part)
     result = compile_cc_refutation(cc, formula, part)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 0.5
+    assert elapsed < 0.1
     _report(
         "n16-compile",
         f"{len(cc)} lines, {result.circuit.gate_count} gates in {elapsed:.2f}s",
@@ -358,6 +361,67 @@ def test_inequality_tables_and_protocols_wall_time():
         "n16-inequalities",
         f"50 tables and protocols (depth <= {depth}) in {elapsed:.2f}s",
     )
+
+
+def _first_unsat(draws):
+    for formula, part in draws:
+        try:
+            resolution_refutation_from_dpll(formula)
+        except SatisfiableError:
+            continue
+        return formula, part
+
+
+@pytest.mark.parametrize(
+    "name, draw, bound",
+    [
+        # 12 X and 12 Y variables: both sides at SIDE_CAP, n at TABLE_CAP
+        ("n24-m420", lambda seed: (
+            sample_f(DistributionParams(420, 24, 3, seed)),
+            VariablePartition.alternating(24),
+        ), 0.2),
+        ("tensor-n10-m600", lambda seed: sample_tensor(
+            DistributionParams(600, 10, 2, seed)
+        ), 1.5),
+    ],
+    ids=["n24", "tensor-n10"],
+)
+def test_roundtrip_at_the_caps_wall_time(name, draw, bound):
+    # Lines are row classes, so no stage builds a 2^n-bit table: these took
+    # 0.03 s and 0.3 s (Python 3.11, one core), against a 4.4 GB run stopped
+    # after 12 minutes and 10-20 s with tables.
+    formula, part = _first_unsat(
+        draw(derive_seed(MASTER_SEED, name, i)) for i in itertools.count()
+    )
+    t0 = time.perf_counter()
+    result = roundtrip(formula, part)
+    elapsed = time.perf_counter() - t0
+    assert result.separation.passed
+    assert result.claim_violations == 0
+    assert result.extraction.report.all_ok
+    assert elapsed < bound
+    _report(
+        name,
+        f"{result.compiled.report.gate_count} gates, separated and extracted "
+        f"in {elapsed:.2f}s",
+    )
+
+
+@pytest.mark.parametrize("n, fits", [(24, True), (25, False)])
+def test_lines_at_the_table_cap(n, fits):
+    part = VariablePartition.alternating(n)
+    literals = sample_f(DistributionParams(1, n, 3, 0)).clauses[0].literals
+    ineq = LinearInequality(tuple(range(-12, n - 12)), 3)
+    builds = (
+        lambda: SemanticLine.from_literals(literals, part),
+        lambda: SemanticLine.from_inequality(ineq, part),
+    )
+    for build in builds:
+        if fits:
+            assert build().rows
+        else:
+            with pytest.raises(CapExceededError, match="exceeds cap 24"):
+                build()
 
 
 def test_separation_and_extraction_wall_time(unsat_n16):

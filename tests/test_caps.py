@@ -50,7 +50,7 @@ OVER_CAP = {
         LinearInequality((1,) * 26, 1), SIDES_13
     ),
     "good_histories": lambda: good_histories(
-        constant_tree(SIDES_13, 0), SemanticLine(13, 13, 0)
+        constant_tree(SIDES_13, 0), SemanticLine(13, 13, (((1 << (1 << 13)) - 1, 0),))
     ),
     "materialize_rectangle": lambda: materialize_rectangle(
         constant_tree(SIDES_13, 0), ""

@@ -66,7 +66,7 @@ from proofbench.protocol import (
     materialize_rectangle,
 )
 from proofbench.randomcnf import DistributionParams, derive_seed, sample_f
-from proofbench.semantics import SemanticLine, rectangle_bits
+from proofbench.semantics import SemanticLine, check_semantic_step, rectangle_bits
 
 COMPLETE_2CNF = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
 CONTRADICTION = "p cnf 1 2\n1 0\n-1 0\n"
@@ -82,6 +82,34 @@ CPGEN = runpy.run_path(
 CP_ROUTE_DIGEST = "c96d55cc0a1eb5c925b64dd9263809909511b81caa4737709c5e21f71e3b313d"
 # The complete 2-CNF and six unsatisfiable random 3-CNFs for the roundtrip.
 ROUNDTRIP_BATCH = [("complete2", parse_dimacs(COMPLETE_2CNF)), *unsat_3cnfs()]
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Counts of ``rectangle_bits``, ``spread`` and ``SemanticLine.bits``
+    calls, through every module that binds them.
+    """
+    from proofbench import bitops, circuit, cpproof, cspsat, protocol, randomcnf
+    from proofbench import semantics
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = (bitops, circuit, cpproof, cspsat, protocol, randomcnf, semantics)
+    for name, owner in (("rectangle_bits", semantics), ("spread", bitops)):
+        wrapped = counted(name, getattr(owner, name))
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    bits = counted("bits", vars(SemanticLine)["bits"].func)
+    monkeypatch.setattr(SemanticLine, "bits", property(bits))
+    return calls
 
 
 def compile_complete():
@@ -187,29 +215,16 @@ class TestCompileComplete2Cnf:
                 if (ymask >> y) & 1:
                     assert v_vals[y][gate] == 0
 
-    def test_one_rectangle_per_history(self, monkeypatch):
-        # the agreement check and the good histories share one rectangle per
-        # (line, history); the clause tables of the validation add one each
-        import proofbench.circuit as circuit_mod
-        import proofbench.protocol as protocol_mod
-        import proofbench.semantics as semantics_mod
-
-        f = parse_dimacs(COMPLETE_2CNF)
-        part = VariablePartition((1,), (2,))
-        cc = cc_lines_from_resolution(resolution_refutation_from_dpll(f), part)
-        calls = []
-        original = semantics_mod.rectangle_bits
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        for module in (circuit_mod, protocol_mod, semantics_mod):
-            monkeypatch.setattr(module, "rectangle_bits", counted)
-        result = compile_cc_refutation(cc, f, part)
-        histories = sum(len(full_history_masks(ln.tree)) for ln in cc)
-        assert len(calls) == histories + f.m
-        assert result.circuit == compile_complete()[3].circuit
+    def test_compile_builds_no_table(self, table_builds):
+        # Lines are row classes from the protocol stage to the circuit: the
+        # resolution and CP routes build no 2^n-bit table on the way.
+        compile_complete()
+        assert table_builds == Counter()
+        for f, part, cc in cp_route_batch(count=2):
+            assert verify_separation(
+                compile_cc_refutation(cc, f, part).circuit, f, part
+            ).passed
+        assert table_builds == Counter()
 
     def test_monotone_spot_check(self):
         f, part, _, result = compile_complete()
@@ -315,8 +330,17 @@ class TestCompilePreconditions:
             (lambda cc: _with_cc_line(
                 cc, 6, replace(cc[6], tree=constant_tree(SWAPPED_SIDES, 0))
             ), "line 6: protocol tree uses another partition"),
+            (lambda cc: _with_cc_line(
+                cc, 6, replace(cc[6], table=SemanticLine(1, 1, ()))
+            ), "line 6: row classes do not partition x"),
+            (lambda cc: _with_cc_line(
+                cc, 6, replace(cc[6], table=SemanticLine(1, 1, ((3, 0), (1, 0))))
+            ), "line 6: row classes do not partition x"),
         ],
-        ids=["short", "axiom-index", "axiom-table", "late-premise", "other-partition"],
+        ids=[
+            "short", "axiom-index", "axiom-table", "late-premise", "other-partition",
+            "no-classes", "overlapping-classes",
+        ],
     )
     def test_malformed_refutation_rejected(self, mutate, message):
         f, part, cc, _ = compile_complete()
@@ -653,43 +677,37 @@ class TestExtraction:
         assert not extraction.report.root_constant_zero
         assert not extraction.report.all_ok
 
-    def test_no_table_after_compile(self, monkeypatch):
-        # Extraction checks rectangle covers: it builds no SemanticLine and
-        # calls neither rectangle_bits nor check_semantic_step, so a
-        # roundtrip makes exactly the calls of its stages up to compile.
-        import proofbench.circuit as circuit_mod
-        import proofbench.protocol as protocol_mod
-        import proofbench.semantics as semantics_mod
-
-        calls = Counter()
-
+    def test_no_table_in_roundtrip(self, table_builds, monkeypatch):
+        # Compile checks row classes and extraction checks rectangle covers,
+        # so no stage of a roundtrip builds a table, and extraction builds
+        # no line and checks no semantic step. A table built on request is
+        # counted.
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                table_builds[name] += 1
                 return fn(*args, **kwargs)
 
             return wrapper
 
-        for name in ("rectangle_bits", "check_semantic_step"):
-            wrapped = counted(name, getattr(semantics_mod, name))
-            for module in (circuit_mod, protocol_mod, semantics_mod):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, wrapped)
-        init = counted("SemanticLine", SemanticLine.__init__)
-        monkeypatch.setattr(SemanticLine, "__init__", init)
+        step = counted("check_semantic_step", check_semantic_step)
+        monkeypatch.setattr("proofbench.circuit.check_semantic_step", step)
+        monkeypatch.setattr(
+            SemanticLine, "__init__", counted("SemanticLine", SemanticLine.__init__)
+        )
         for name, f in ROUNDTRIP_BATCH[:3]:
             part = VariablePartition.alternating(f.n)
-            calls.clear()
-            cc = cc_lines_from_resolution(resolution_refutation_from_dpll(f), part)
-            result = compile_cc_refutation(cc, f, part)
-            up_to_compile = Counter(calls)
-            assert all(up_to_compile[k] for k in ("rectangle_bits", "SemanticLine"))
-            calls.clear()
-            assert extract_cc2_refutation(result.circuit, f, part).report.all_ok
-            assert calls == Counter(), name
-            calls.clear()
-            assert roundtrip(f, part).extraction.report.all_ok
-            assert calls == up_to_compile, name
+            result = roundtrip(f, part)
+            assert result.extraction.report.all_ok, name
+            assert set(table_builds) == {"SemanticLine", "check_semantic_step"}, name
+            table_builds.clear()
+            circuit = result.compiled.circuit
+            assert extract_cc2_refutation(circuit, f, part).report.all_ok
+            assert table_builds == Counter(), name
+            table = result.lines[0].table
+            assert table.bits
+            k = len(table.rows)
+            assert table_builds == Counter(bits=1, rectangle_bits=k, spread=k)
+            table_builds.clear()
 
     def test_separation_precondition(self):
         f = parse_dimacs(COMPLETE_2CNF)

@@ -542,6 +542,58 @@ class TestStats:
         )
 
 
+class TestParserReuse:
+    def test_one_parser_serves_every_call(
+        self, complete2, contra, tmp_path, capsys, monkeypatch
+    ):
+        # Calls that share the cached parser, with a usage error and help
+        # pages among them, give what a fresh parser gives for each call.
+        import proofbench.cli as cli
+
+        circuit, report = tmp_path / "c.txt", tmp_path / "r.json"
+        cnf, circ, to_report = str(complete2), str(circuit), ["--report", str(report)]
+        contra_cnf, contra_proof = str(contra[0]), str(contra[1])
+        swapped = ["--partition", "x:2", "y:1"]
+        argvs = [
+            ["roundtrip", "--cnf", cnf, *to_report],
+            ["compile", "--cnf", cnf, "--out", circ, *swapped],
+            ["roundtrip", "--cnf", cnf, "--bogus"],
+            ["verify-sep", "--cnf", cnf, "--circuit", circ, *swapped],
+            ["--help"],
+            ["check-proof", "--cnf", contra_cnf, "--proof", contra_proof],
+            ["roundtrip", "--help"],
+            ["extract", "--cnf", cnf, "--circuit", circ, *swapped, *to_report],
+            ["compile", "--cnf", contra_cnf, "--proof", contra_proof, "--out", circ],
+            ["roundtrip", "--cnf", cnf],
+        ]
+
+        def run_all(fresh):
+            runs = []
+            circuit.unlink(missing_ok=True)
+            for argv in argvs:
+                if fresh:
+                    cli._parser.cache_clear()
+                code = cli.main(argv)
+                out, err = capsys.readouterr()
+                written = report.read_text() if report.exists() else None
+                report.unlink(missing_ok=True)
+                drawn = circuit.read_text() if circuit.exists() else None
+                runs.append((code, out, err, written, drawn))
+            return runs
+
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        reused = run_all(fresh=False)
+        assert len(builds) == 1
+        assert [run[0] for run in reused] == [0, 0, 2, 0, 0, 0, 0, 0, 0, 0]
+        args = cli._parser().parse_args(["roundtrip", "--cnf", cnf])
+        assert args.partition == ["alternating"]
+        assert run_all(fresh=True) == reused
+        assert len(builds) == 1 + len(argvs)
+
+
 class TestErrors:
     def test_unknown_command_exits_two(self):
         assert main(["frobnicate"]) == 2

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     count_satisfying,
     heavy_sat_oracle,
+    heavy_side_counts_oracle,
     min_pair_union_oracle,
     profile_oracle,
     sample_f_oracle,
@@ -314,6 +315,36 @@ class TestHeavyCounts:
         lopsided = VariablePartition((1, 2, 3, 4), ())
         z_x, z_y, w_max = heavy_side_counts(f, lopsided, Fraction(1, 4))
         assert z_x == 1 and z_y == 0 and w_max == 1  # 4 > 3, X-heavy
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.integers(2, 12),
+        st.integers(1, 30),
+        st.integers(0, 2**32),
+        st.data(),
+    )
+    @example(3, 6, 20, 1, None)
+    def test_floor_cut_matches_fraction_cut(self, d, n, m, seed, data):
+        # epsilons where (1 - eps) * d is an integer put counts exactly at the
+        # cut, which must stay not heavy
+        assume(d <= n)
+        f = sample_f(DistributionParams(m, n, d, seed))
+        rng = random.Random(seed)
+        xs = tuple(v for v in range(1, n + 1) if rng.random() < 0.5)
+        part = VariablePartition(xs, tuple(v for v in range(1, n + 1) if v not in xs))
+        at_cut = [Fraction(k, d) for k in range(d + 1)]
+        if data is None:
+            epsilons = at_cut
+        else:
+            epsilons = [
+                data.draw(st.sampled_from(at_cut)),
+                data.draw(st.fractions(Fraction(-1, 2), Fraction(3, 2))),
+            ]
+        for eps in epsilons:
+            assert heavy_side_counts(f, part, eps) == heavy_side_counts_oracle(
+                f, part, eps
+            )
 
     def test_independent_recount(self):
         f = sample_f(DistributionParams(200, 32, 8, 13))

@@ -1,15 +1,17 @@
 """The side-index kernel against loops over ``Assignment.from_index``.
 
 Every fast path (per-variable masks, partial sums, falsifying masks, spread,
-rectangle tables, the protocols and the good-history test built on them) is
-compared with the slow, obvious computation on random partitions: a random
-split of 1..n in random order, either side possibly empty.
+row classes and the tables built from them, the protocols, and the agreement
+and good-history tests built on them) is compared with the slow, obvious
+computation on random partitions: a random split of 1..n in random order,
+either side possibly empty.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import semantic_step_oracle, table_oracle
 from proofbench.bitops import iter_bits, spread
 from proofbench.circuit import (
     cc_lines_from_resolution,
@@ -30,12 +32,20 @@ from proofbench.gates import ConstGate, MonotoneCircuit
 from proofbench.linear import LinearInequality
 from proofbench.protocol import (
     clause_protocol,
+    constant_tree,
     full_history_masks,
     good_from_masks,
+    good_leaves,
     inequality_protocol,
     run_protocol,
 )
-from proofbench.semantics import SemanticLine, check_scope, falsifying_mask
+from proofbench.semantics import (
+    SemanticLine,
+    check_scope,
+    check_semantic_step,
+    falsifying_mask,
+    rectangle_bits,
+)
 
 UNSAT3 = (
     "p cnf 3 8\n1 2 3 0\n1 2 -3 0\n1 -2 3 0\n1 -2 -3 0\n"
@@ -159,13 +169,108 @@ class TestTablesAndProtocols:
             rng.getrandbits(size),
             rng.getrandbits(size) & rng.getrandbits(size),
         ):
-            line = SemanticLine(part.n1, part.n2, bits)
+            line = SemanticLine.from_bits(part.n1, part.n2, bits)
             slow = [
                 h
                 for h in sorted(masks)
                 if all(line.row(x) & masks[h][1] == 0 for x in iter_bits(masks[h][0]))
             ]
             assert good_from_masks(masks, line) == slow
+
+
+@st.composite
+def lines_on(draw, part):
+    """A line of a clause, an inequality or a random table on ``part``."""
+    kind = draw(st.sampled_from(["clause", "inequality", "table"]))
+    if kind == "clause":
+        chosen = draw(st.lists(st.integers(1, max(part.n, 1)), unique=True))
+        lits = tuple(Literal(v, draw(st.booleans())) for v in chosen if v <= part.n)
+        return SemanticLine.from_literals(lits, part)
+    if kind == "inequality":
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=part.n, max_size=part.n))
+        ineq = LinearInequality(tuple(coeffs), draw(st.integers(-6, 6)))
+        return SemanticLine.from_inequality(ineq, part)
+    table = draw(st.integers(0, (1 << (1 << part.n)) - 1))
+    return SemanticLine.from_bits(part.n1, part.n2, table)
+
+
+class TestRowClasses:
+    """The row-class form against truth tables, on partitions up to n = 12."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(partition_and_literals(max_n=12), partition_and_inequality(max_n=12))
+    def test_tables_match_enumeration(self, clause_case, ineq_case):
+        part, lits = clause_case
+        holds = lambda v: any(l.satisfied_by(v[l.var]) for l in lits)
+        table = table_oracle(part, holds)
+        assert SemanticLine.from_literals(lits, part).bits == table
+        tabulated = SemanticLine.from_function(part, lambda a: holds(a.as_map()))
+        assert tabulated.bits == table
+        assert SemanticLine.from_bits(part.n1, part.n2, table).bits == table
+        part, ineq = ineq_case
+        table = table_oracle(part, ineq.holds)
+        assert SemanticLine.from_inequality(ineq, part).bits == table
+
+    @settings(max_examples=40, deadline=None)
+    @given(partitions(max_n=12), st.data())
+    def test_form_is_canonical(self, part, data):
+        a, b = data.draw(lines_on(part)), data.draw(lines_on(part))
+        xs = [x for x, _ in a.rows]
+        assert all(xs) and sum(xs) == (1 << (1 << part.n1)) - 1
+        assert [row for _, row in a.rows] == sorted({row for _, row in a.rows})
+        assert (a == b) == (a.bits == b.bits)
+        assert SemanticLine.from_bits(part.n1, part.n2, a.bits) == a
+
+    @settings(max_examples=40, deadline=None)
+    @given(partitions(max_n=12), st.data())
+    def test_semantic_step_matches_tables(self, part, data):
+        f, g = data.draw(lines_on(part)), data.draw(lines_on(part))
+        h = data.draw(lines_on(part))
+        # a superset of f AND g, so that entailed steps occur too
+        wider = SemanticLine.from_bits(part.n1, part.n2, f.bits & g.bits | h.bits)
+        for target in (h, wider):
+            assert check_semantic_step(f, g, target) == semantic_step_oracle(
+                f, g, target
+            )
+        assert check_semantic_step(f, g, wider)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        partition_and_literals(max_n=12),
+        partition_and_inequality(max_n=12, weight=3),
+        st.booleans(),
+    )
+    def test_agreement_and_goodness_match_tables(self, clause_case, ineq_case, swap):
+        # each tree against its own line, and against the other case's line
+        # when both share a partition
+        part, lits = clause_case
+        ipart, ineq = ineq_case
+        def clause_pair(lits, part):
+            tree = clause_protocol(Clause(lits), part) if lits else constant_tree(part, 0)
+            return tree, SemanticLine.from_literals(lits, part)
+
+        def ineq_pair(ineq, part):
+            tree = inequality_protocol(ineq, part)
+            return tree, SemanticLine.from_inequality(ineq, part)
+
+        pairs = [clause_pair(lits, part), ineq_pair(ineq, ipart)]
+        if swap:
+            lits = tuple(l for l in lits if l.var <= ipart.n)
+            ctree, cline = clause_pair(lits, ipart)
+            itree, iline = ineq_pair(ineq, ipart)
+            pairs += [(ctree, iline), (itree, cline)]
+        for tree, line in pairs:
+            masks = full_history_masks(tree)
+            agrees = True
+            for h, (xm, ym) in masks.items():
+                rect = rectangle_bits(xm, ym, line.n2)
+                agrees &= line.bits & rect == (rect if tree.output_at(h) else 0)
+            good = good_leaves(tree, line)
+            assert (good is not None) == agrees
+            if agrees:
+                assert [h for _, h, _, _ in good] == good_from_masks(masks, line)
+                for leaf, h, xm, ym in good:
+                    assert (leaf, masks[h]) == (int("0" + h, 2), (xm, ym))
 
 
 class TestScope:
