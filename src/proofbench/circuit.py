@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bitops import full_mask
 from .cnf import CnfFormula, Literal, VariablePartition, clause_to_inequality
@@ -90,28 +90,29 @@ class CircuitBuilder:
         self.gates: list[Gate] = []
         self._table: dict[tuple, int] = {}
 
-    def _intern(self, key: tuple, gate: Gate) -> int:
+    def _intern(self, key: tuple, make: type, *args) -> int:
+        """Index of the gate under ``key``; ``make(*args)`` only on a miss."""
         idx = self._table.get(key)
         if idx is None:
-            idx = len(self.gates)
-            self.gates.append(gate)
-            self._table[key] = idx
+            idx = self._table[key] = len(self.gates)
+            self.gates.append(make(*args))
         return idx
 
     def input_gate(self, constraint: int, alpha: tuple[int, ...]) -> int:
-        return self._intern(("in", constraint, alpha), InputGate(constraint, alpha))
+        return self._intern(("in", constraint, alpha), InputGate, constraint, alpha)
 
     def const(self, bit: int) -> int:
-        idx = self._table.get(("const", bit))
-        return self._intern(("const", bit), ConstGate(bit)) if idx is None else idx
+        return self._intern(("const", bit), ConstGate, bit)
 
     def gate_and(self, a: int, b: int) -> int:
-        a, b = min(a, b), max(a, b)
-        return self._intern(("and", a, b), AndGate(a, b))
+        if b < a:
+            a, b = b, a
+        return self._intern(("and", a, b), AndGate, a, b)
 
     def gate_or(self, a: int, b: int) -> int:
-        a, b = min(a, b), max(a, b)
-        return self._intern(("or", a, b), OrGate(a, b))
+        if b < a:
+            a, b = b, a
+        return self._intern(("or", a, b), OrGate, a, b)
 
     def build(self, output: int) -> MonotoneCircuit:
         return MonotoneCircuit(tuple(self.gates), output)
@@ -379,16 +380,40 @@ def compile_cc_refutation(
             raise SoundnessError(f"line {i}: protocol tree disagrees with the table")
         good_per_line.append(good)
 
-    # The walks below intern their OR and AND gates inline, under the keys
-    # of CircuitBuilder.gate_or and gate_and.
     builder = CircuitBuilder()
-    gates, table = builder.gates, builder._table
-    table_get = table.get
+    gate_or, gate_and = builder.gate_or, builder.gate_and
     built: list[dict[int, int]] = []  # per line, good leaf -> gate
     entries: list[CompiledLineCircuit] = []
-    # (g, k, node of line k's tree) -> the gate of that subtree when every
-    # leaf below it is g, whatever the masks; shared by all lines
-    filled: dict[tuple[int, int, int], int] = {}
+    # (g, k) -> memo of line k's tree walked with every leaf g, whatever the
+    # masks; shared by all lines
+    filled: dict[tuple[int, int], dict[tuple[int, int, int], int]] = {}
+
+    def walk(
+        tree: ProtocolTree, memo: dict, at_leaf: Callable, v: int, xm: int, ym: int
+    ) -> int:
+        # One gate per node of the stacked tree: OR at Alice, AND at Bob;
+        # ``at_leaf(leaf, xm, ym)`` gives the gate of each leaf. A node's
+        # gate depends only on its node, its masks and the leaves' gates, so
+        # a memo returns a gate the walk would intern again as a hash-cons
+        # hit, and the gate order is that of the plain walk. With xm == 0
+        # every leaf below is a premise gate or Const0, so ym does not
+        # matter.
+        leaf = 1 << tree.depth
+        if v >= leaf:
+            return at_leaf(v - leaf, xm, ym)
+        key = (v, xm, ym if xm else 0)
+        gate = memo.get(key)
+        if gate is None:
+            pred = tree.preds[v]
+            if tree.owners[v] == ALICE:
+                g0 = walk(tree, memo, at_leaf, 2 * v, xm & ~pred, ym)
+                g1 = walk(tree, memo, at_leaf, 2 * v + 1, xm & pred, ym)
+                gate = memo[key] = gate_or(g0, g1)
+            else:
+                g0 = walk(tree, memo, at_leaf, 2 * v, xm, ym & ~pred)
+                g1 = walk(tree, memo, at_leaf, 2 * v + 1, xm, ym & pred)
+                gate = memo[key] = gate_and(g0, g1)
+        return gate
 
     def build_axiom(i: int, ln: CcLine) -> dict[int, int]:
         # The line's table is its clause's (checked above), so a nonempty good
@@ -407,49 +432,26 @@ def compile_cc_refutation(
 
     def build_derived(i: int, ln: CcLine) -> dict[int, int]:
         # The stacked tree plays premise j's tree, then premise k's below
-        # each of its leaves. A node's gate depends only on its node, its
-        # masks and the premises' gates, which are fixed while line i is
-        # built, so each memo returns a gate the walk would intern again as
-        # a hash-cons hit, and the gate order is that of the plain walk.
-        # With xm == 0 every leaf below is a premise gate or Const0, so ym
-        # does not matter.
+        # each of its leaves. Below a gate g of line j every stacked leaf
+        # returns g, whatever the masks, so that walk has no masks and its
+        # memo is filled[g, k]. Below any other leaf of j the stacked
+        # leaves do not depend on that leaf, so those walks share memo_k.
         j, k = ln.premises
         tj, tk = lines[j].tree, lines[k].tree
-        owners_j, preds_j, leaf_j = tj.owners, tj.preds, 1 << tj.depth
-        owners_k, preds_k, leaf_k = tk.owners, tk.preds, 1 << tk.depth
         built_j, built_k = built[j], built[k]
         memo_j: dict[tuple[int, int, int], int] = {}
         memo_k: dict[tuple[int, int, int], int] = {}
 
-        def walk_j(v: int, xm: int, ym: int) -> int:
-            if v >= leaf_j:
-                # below a gate of line j every stacked leaf returns it; below
-                # any other leaf of tj the stacked leaves do not depend on it
-                gate = built_j.get(v - leaf_j)
-                return walk_k(1, xm, ym, v) if gate is None else fill(gate, 1)
-            key = (v, xm, ym if xm else 0)
-            gate = memo_j.get(key)
-            if gate is None:
-                pred, alice = preds_j[v], owners_j[v] == ALICE
-                if alice:
-                    g0 = walk_j(2 * v, xm & ~pred, ym)
-                    g1 = walk_j(2 * v + 1, xm & pred, ym)
-                else:
-                    g0 = walk_j(2 * v, xm, ym & ~pred)
-                    g1 = walk_j(2 * v + 1, xm, ym & pred)
-                if g1 < g0:
-                    g0, g1 = g1, g0
-                gkey = ("or" if alice else "and", g0, g1)
-                gate = table_get(gkey)
-                if gate is None:
-                    gate = table[gkey] = len(gates)
-                    gates.append(OrGate(g0, g1) if alice else AndGate(g0, g1))
-                memo_j[key] = gate
-            return gate
+        def at_j(leaf_j: int, xm: int, ym: int) -> int:
+            g = built_j.get(leaf_j)
+            if g is not None:
+                memo = filled.get((g, k))
+                if memo is None:
+                    memo = filled[g, k] = {}
+                return walk(tk, memo, lambda *_: g, 1, 0, 0)
 
-        def walk_k(w: int, xm: int, ym: int, v: int) -> int:
-            if w >= leaf_k:
-                gate = built_k.get(w - leaf_k)
+            def at_k(leaf: int, xm: int, ym: int) -> int:
+                gate = built_k.get(leaf)
                 if gate is not None:
                     return gate
                 if xm and ym:
@@ -457,53 +459,19 @@ def compile_cc_refutation(
                     # no gate serves is 1 on its whole rectangle in both
                     # premises, so line i is 1 there too, yet the history h
                     # being built is good for it.
-                    stacked = bin(v)[3:] + bin(w)[3:]
+                    stacked = bin(1 << tj.depth | leaf_j)[3:]
+                    stacked += bin(1 << tk.depth | leaf)[3:]
                     raise SoundnessError(
                         f"line {i}, history {h!r}: premises both reject "
                         f"stacked leaf {stacked!r} on a nonempty rectangle"
                     )
                 return builder.const(0 if xm == 0 else 1)
-            key = (w, xm, ym if xm else 0)
-            gate = memo_k.get(key)
-            if gate is None:
-                pred, alice = preds_k[w], owners_k[w] == ALICE
-                if alice:
-                    g0 = walk_k(2 * w, xm & ~pred, ym, v)
-                    g1 = walk_k(2 * w + 1, xm & pred, ym, v)
-                else:
-                    g0 = walk_k(2 * w, xm, ym & ~pred, v)
-                    g1 = walk_k(2 * w + 1, xm, ym & pred, v)
-                if g1 < g0:
-                    g0, g1 = g1, g0
-                gkey = ("or" if alice else "and", g0, g1)
-                gate = table_get(gkey)
-                if gate is None:
-                    gate = table[gkey] = len(gates)
-                    gates.append(OrGate(g0, g1) if alice else AndGate(g0, g1))
-                memo_k[key] = gate
-            return gate
 
-        def fill(g: int, w: int) -> int:
-            if w >= leaf_k:
-                return g
-            key = (g, k, w)
-            gate = filled.get(key)
-            if gate is None:
-                g0, g1 = fill(g, 2 * w), fill(g, 2 * w + 1)
-                if g1 < g0:
-                    g0, g1 = g1, g0
-                alice = owners_k[w] == ALICE
-                gkey = ("or" if alice else "and", g0, g1)
-                gate = table_get(gkey)
-                if gate is None:
-                    gate = table[gkey] = len(gates)
-                    gates.append(OrGate(g0, g1) if alice else AndGate(g0, g1))
-                filled[key] = gate
-            return gate
+            return walk(tk, memo_k, at_k, 1, xm, ym)
 
         out = {}
         for leaf, h, xm, ym in good_per_line[i]:
-            out[leaf] = gate = walk_j(1, xm, ym)
+            out[leaf] = gate = walk(tj, memo_j, at_j, 1, xm, ym)
             entries.append(CompiledLineCircuit(i, h, gate))
         return out
 

@@ -79,22 +79,20 @@ def check_table_cap(part: VariablePartition) -> None:
 
 @dataclass(frozen=True)
 class SemanticLine:
-    """A line as canonical row classes, built by the ``from_*`` methods."""
+    """A line as row classes, made canonical on construction."""
 
     n1: int
     n2: int
     rows: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def _canonical(
-        cls, n1: int, n2: int, classes: Iterable[tuple[int, int]]
-    ) -> "SemanticLine":
+    def __post_init__(self):
         """Merge equal rows, drop empty x masks, and order by row."""
         by_row: dict[int, int] = {}
-        for xm, row in classes:
+        for xm, row in self.rows:
             if xm:
                 by_row[row] = by_row.get(row, 0) | xm
-        return cls(n1, n2, tuple((by_row[row], row) for row in sorted(by_row)))
+        rows = tuple((by_row[row], row) for row in sorted(by_row))
+        object.__setattr__(self, "rows", rows)
 
     @cached_property
     def bits(self) -> int:
@@ -129,7 +127,7 @@ class SemanticLine:
     def from_bits(cls, n1: int, n2: int, bits: int) -> "SemanticLine":
         """The classes of a truth table."""
         yfull = full_mask(1 << n2)
-        return cls._canonical(
+        return cls(
             n1, n2, ((1 << x, (bits >> (x << n2)) & yfull) for x in range(1 << n1))
         )
 
@@ -141,9 +139,7 @@ class SemanticLine:
         clause is on its falsifying masks.
         """
         xfull, yfull = full_mask(1 << part.n1), full_mask(1 << part.n2)
-        return cls._canonical(
-            part.n1, part.n2, ((xf, yfull ^ yf), (xfull ^ xf, yfull))
-        )
+        return cls(part.n1, part.n2, ((xf, yfull ^ yf), (xfull ^ xf, yfull)))
 
     @classmethod
     def from_literals(
@@ -185,7 +181,7 @@ class SemanticLine:
             (xm, sum(ym for b, ym in by_bsum.items() if a + b >= constant))
             for a, xm in by_asum.items()
         )
-        return cls._canonical(part.n1, part.n2, rows)
+        return cls(part.n1, part.n2, rows)
 
     @classmethod
     def from_function(

@@ -59,6 +59,9 @@ from proofbench.errors import CapExceededError, CircuitTextError, SoundnessError
 from proofbench.gates import AndGate, ConstGate, InputGate, MonotoneCircuit, OrGate
 from proofbench.linear import LinearInequality
 from proofbench.protocol import (
+    ALICE,
+    BOB,
+    ProtocolTree,
     clause_protocol,
     constant_tree,
     full_history_masks,
@@ -141,7 +144,18 @@ def instance_gate_values(circuit, f, part):
 
 
 class TestBuilderAndEval:
-    def test_hash_consing_shares_gates(self):
+    def test_hash_consing_shares_gates(self, monkeypatch):
+        made = Counter()
+
+        def counted(cls):
+            def make(*args):
+                made[cls.__name__] += 1
+                return cls(*args)
+
+            return make
+
+        for cls in (InputGate, ConstGate, AndGate, OrGate):
+            monkeypatch.setattr(f"proofbench.circuit.{cls.__name__}", counted(cls))
         b = CircuitBuilder()
         g1 = b.input_gate(1, (0,))
         g2 = b.input_gate(1, (0,))
@@ -149,7 +163,10 @@ class TestBuilderAndEval:
         a1 = b.gate_and(g1, b.const(1))
         a2 = b.gate_and(b.const(1), g1)  # operand order is canonicalized
         assert a1 == a2
-        assert len(b.gates) == 3
+        assert b.gate_or(a1, g1) == b.gate_or(g1, a1)
+        assert len(b.gates) == 4
+        # a hash-cons hit builds no gate object
+        assert made == Counter(InputGate=1, ConstGate=1, AndGate=1, OrGate=1)
 
     def test_eval_reference(self):
         f = parse_dimacs(COMPLETE_2CNF)
@@ -334,7 +351,7 @@ class TestCompilePreconditions:
                 cc, 6, replace(cc[6], table=SemanticLine(1, 1, ()))
             ), "line 6: row classes do not partition x"),
             (lambda cc: _with_cc_line(
-                cc, 6, replace(cc[6], table=SemanticLine(1, 1, ((3, 0), (1, 0))))
+                cc, 6, replace(cc[6], table=SemanticLine(1, 1, ((3, 0), (1, 1))))
             ), "line 6: row classes do not partition x"),
         ],
         ids=[
@@ -347,6 +364,20 @@ class TestCompilePreconditions:
         with pytest.raises(SoundnessError) as info:
             compile_cc_refutation(mutate(cc), f, part)
         assert str(info.value) == message
+
+    def test_split_axiom_classes_accepted(self):
+        # an axiom line built by hand with the clause's function split over
+        # two classes is the clause's line
+        f = parse_dimacs("p cnf 2 3\n2 0\n-2 1 0\n-1 0\n")
+        part = VariablePartition((1,), (2,))
+        cc = cc_lines_from_resolution(resolution_refutation_from_dpll(f), part)
+        assert cc[0].table.rows == ((3, 2),)
+        split = _with_cc_line(
+            cc, 0, replace(cc[0], table=SemanticLine(1, 1, ((1, 2), (2, 2))))
+        )
+        assert split[0].table == cc[0].table
+        result = compile_cc_refutation(split, f, part)
+        assert result == compile_cc_refutation(cc, f, part)
 
     def test_final_line_must_be_silent(self):
         f, part, cc, _ = compile_complete()
@@ -894,8 +925,35 @@ def matches_plain_walk(cc, f, part):
     return result
 
 
+def mixed_owner_tree(tree, pred):
+    """A clause's two-bit tree in which Alice speaks again, sending bit x of
+    ``pred``, under her "1": level 1 has a Bob and an Alice node. Her "1"
+    satisfies the clause, so both leaves below it output 1, as "01" does.
+    """
+    owners = (None, ALICE, BOB, ALICE)
+    return ProtocolTree(
+        tree.part, 2, owners, (0, tree.preds[1], tree.preds[2], pred), tree.outputs
+    )
+
+
 class TestMemoizedWalk:
-    """Compile's two-stage walk against the plain walk it replaced."""
+    """Compile's memoized walk against the plain walk it replaced."""
+
+    def test_matches_plain_walk_on_mixed_owner_trees(self):
+        # Every axiom line carries a mixed-owner tree, so derived lines walk
+        # it as premise k both with masks and below a gate of premise j.
+        for _, f in ROUNDTRIP_BATCH:
+            refutation = resolution_refutation_from_dpll(f)
+            for part in (VariablePartition.alternating(f.n), halves(f.n)):
+                pred = part.var_masks[part.xvars[-1]]
+                cc = [
+                    replace(ln, tree=mixed_owner_tree(ln.tree, pred))
+                    if ln.axiom is not None else ln
+                    for ln in cc_lines_from_resolution(refutation, part)
+                ]
+                assert any(cc[ln.premises[1]].axiom for ln in cc if ln.premises)
+                result = matches_plain_walk(cc, f, part)
+                assert verify_separation(result.circuit, f, part).passed
 
     def test_matches_plain_walk_on_cp_proofs(self):
         texts = []

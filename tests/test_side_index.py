@@ -194,6 +194,18 @@ def lines_on(draw, part):
     return SemanticLine.from_bits(part.n1, part.n2, table)
 
 
+@st.composite
+def split_lines_on(draw, part):
+    """A line of ``lines_on`` and the same function built raw: each class's
+    x mask cut in two, an empty class added, the classes shuffled.
+    """
+    line = draw(lines_on(part))
+    cut = draw(st.integers(0, (1 << (1 << part.n1)) - 1))
+    classes = [(xm & side, row) for xm, row in line.rows for side in (cut, ~cut)]
+    classes.append((0, draw(st.integers(0, (1 << (1 << part.n2)) - 1))))
+    return line, SemanticLine(part.n1, part.n2, tuple(draw(st.permutations(classes))))
+
+
 class TestRowClasses:
     """The row-class form against truth tables, on partitions up to n = 12."""
 
@@ -214,11 +226,18 @@ class TestRowClasses:
     @settings(max_examples=40, deadline=None)
     @given(partitions(max_n=12), st.data())
     def test_form_is_canonical(self, part, data):
+        # lines of the from_* constructors, and one built raw from split,
+        # shuffled classes
         a, b = data.draw(lines_on(part)), data.draw(lines_on(part))
-        xs = [x for x, _ in a.rows]
-        assert all(xs) and sum(xs) == (1 << (1 << part.n1)) - 1
-        assert [row for _, row in a.rows] == sorted({row for _, row in a.rows})
-        assert (a == b) == (a.bits == b.bits)
+        base, raw = data.draw(split_lines_on(part))
+        assert raw == base
+        for line in (a, raw):
+            xs = [x for x, _ in line.rows]
+            assert all(xs) and sum(xs) == (1 << (1 << part.n1)) - 1
+            rows = [row for _, row in line.rows]
+            assert rows == sorted(set(rows))
+        for left, right in ((a, b), (a, raw), (b, raw)):
+            assert (left == right) == (left.bits == right.bits)
         assert SemanticLine.from_bits(part.n1, part.n2, a.bits) == a
 
     @settings(max_examples=40, deadline=None)
