@@ -83,6 +83,43 @@ ROUNDTRIP_BATCH = [("complete2", parse_dimacs(COMPLETE_2CNF)), *unsat_3cnfs()]
 ROUNDTRIP_DIGEST = "8047e332fba49ae6c3e75865415106759293e4d86edc516a5f02a3447ebf2ecd"
 
 
+def _sides(n):
+    """The tensor partition of 2n variables, X = 1..n and Y = n+1..2n."""
+    return ["--partition", "x:" + ",".join(map(str, range(1, n + 1))),
+            "y:" + ",".join(map(str, range(n + 1, 2 * n + 1)))]
+
+
+# The profiles and heavy-sat kernels, exact and sampled, on both
+# distributions, and the sha256 of their stats reports in this order,
+# recorded before the profile kernels were rewritten in plain Python: the
+# reports must not change by a byte. The second case runs three 64-clause
+# blocks with classes still alive; the fourth draws equal pairs and collides.
+STATS_BATCH = [
+    ["--stat", "profiles", "--n", "10", "--d", "3", "--m", "40", "--seed", "1"],
+    ["--stat", "profiles", "--n", "12", "--d", "6", "--m", "150", "--seed", "2"],
+    ["--stat", "profiles", "--dist", "tensor", "--n", "5", "--d", "2", "--m", "30",
+     "--seed", "3"],
+    ["--stat", "profiles", "--mode", "sampled", "--n", "4", "--d", "2", "--m", "3",
+     "--trials", "300", "--seed", "4"],
+    ["--stat", "profiles", "--mode", "sampled", "--n", "60", "--d", "3",
+     "--m", "300", "--trials", "2000", "--seed", "5"],
+    ["--stat", "profiles", "--mode", "sampled", "--dist", "tensor", "--n", "6",
+     "--d", "2", "--m", "20", "--trials", "1000", "--seed", "6"],
+    *(["--stat", "heavy-sat", "--side", side, "--n", "12", "--d", "3", "--m", "60",
+       "--epsilon", "1/4", "--seed", "7"] for side in "xy"),
+    *(["--stat", "heavy-sat", "--side", side, "--dist", "tensor", "--n", "8",
+       "--d", "2", "--m", "8", "--epsilon", "3/4", "--seed", "8", *_sides(8)]
+      for side in "xy"),
+    *(["--stat", "heavy-sat", "--side", side, "--mode", "sampled", "--n", "40",
+       "--d", "4", "--m", "200", "--epsilon", "1/4", "--trials", "2000",
+       "--seed", "9"] for side in "xy"),
+    *(["--stat", "heavy-sat", "--side", side, "--mode", "sampled", "--dist",
+       "tensor", "--n", "20", "--d", "3", "--m", "20", "--epsilon", "3/4",
+       "--trials", "1000", "--seed", "10", *_sides(20)] for side in "xy"),
+]
+STATS_DIGEST = "bcdf6559d2346e84e8474d58382a086aea727f90e262a92b9fbb18f569e2d564"
+
+
 def read_report(path):
     return json.loads(path.read_text())
 
@@ -457,6 +494,13 @@ class TestStats:
         if stat == "profiles":
             assert (results["rows_checked"], results["collisions"]) == (1024, 521)
 
+    def test_reports_pinned(self, tmp_path):
+        report = tmp_path / "stats.json"
+        digest = hashlib.sha256()
+        for args in STATS_BATCH:
+            assert main(["stats", *args, "--report", str(report)]) == 0, args
+            digest.update(report.read_bytes())
+        assert digest.hexdigest() == STATS_DIGEST
 
     @pytest.mark.parametrize(
         "args",
