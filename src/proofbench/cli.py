@@ -264,14 +264,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "d": args.d,
         "seed": args.seed,
     }
-    params = randomcnf.DistributionParams(args.m, args.n, args.d, args.seed)
     if args.stat == "unsat-rate":
         config["samples"] = args.samples
+        params = randomcnf.DistributionParams(args.m, args.n, args.d, args.seed)
         report = randomcnf.unsat_rate(
             params, tensor=args.dist == "tensor", samples=args.samples
         )
     elif args.stat == "expansion":
-        formula = _sampled_formula(args, params)
+        formula = _sampled_formula(args)
         config |= {"epsilon": args.epsilon, "s_max": args.s_max, "trials": args.trials}
         report = randomcnf.expansion_report(
             formula,
@@ -282,19 +282,19 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             allow_beyond_regime=args.beyond_regime,
         )
     elif args.stat == "profiles":
-        formula = _sampled_formula(args, params)
+        formula = _sampled_formula(args)
         config |= {"mode": args.mode, "trials": args.trials}
         report = randomcnf.profile_distinctness(
             formula, mode=args.mode, seed=args.seed, trials=args.trials
         )
     elif args.stat == "heavy-partition":
-        formula = _sampled_formula(args, params)
+        formula = _sampled_formula(args)
         config |= {"epsilon": args.epsilon, "trials": args.trials}
         report = randomcnf.heavy_partition_search(
             formula, _fraction(args.epsilon), max_trials=args.trials, seed=args.seed
         )
-    elif args.stat == "heavy-sat":
-        formula = _sampled_formula(args, params)
+    else:  # heavy-sat; argparse's choices admit no other stat
+        formula = _sampled_formula(args)
         part, partition = _resolve_partition(args, formula)
         config |= {
             "epsilon": args.epsilon,
@@ -312,8 +312,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             seed=args.seed,
             trials=args.trials,
         )
-    else:
-        raise ValueError(f"unknown stat {args.stat!r}")
     results = _jsonable(report)
     if args.stat == "unsat-rate":
         results |= results.pop("params")
@@ -324,9 +322,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def _sampled_formula(args, params) -> CnfFormula:
+def _sampled_formula(args) -> CnfFormula:
+    """The ``--cnf`` formula, which leaves ``--m``, ``--n`` and ``--d``
+    unchecked and unused, or else a draw of those parameters.
+    """
     if args.cnf:
         return _load_formula(args.cnf)
+    params = randomcnf.DistributionParams(args.m, args.n, args.d, args.seed)
     if args.dist == "tensor":
         return randomcnf.sample_tensor(params)[0]
     return randomcnf.sample_f(params)

@@ -13,17 +13,16 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, islice, repeat
-from operator import and_, eq, or_, rshift
+from itertools import chain
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
-from .bitops import bit_plane, full_mask, iter_bits, spread
+from .bitops import bit_plane, full_mask, spread
 from .cnf import (
     SOLVER_CAP,
     Clause,
@@ -309,56 +308,55 @@ def _falsifying_pattern(
     return mask, pattern
 
 
-def _profile_of(alpha: int, masks: list[tuple[int, int]]) -> frozenset[int]:
-    return frozenset(
-        i for i, (mask, pattern) in enumerate(masks) if alpha & mask == pattern
-    )
-
-
 def _block_labels(
-    block: list[tuple[int, int]], lanes: list[int], ones: int, size: int
+    clauses: Sequence[Clause], lanes: list[int], ones: int, size: int
 ) -> memoryview:
     """Per assignment a < ``size``, a 64-bit label whose bit i says whether a
-    falsifies clause i of ``block`` (at most 64 (mask, pattern) pairs).
+    falsifies clause i of ``clauses`` (at most 64 of them).
 
-    ``lanes[p]`` holds bit p of a in byte a and ``ones`` holds 1 in every
-    byte, so a clause's falsifying subcube is the AND of its lanes or their
-    complements. Eight clauses, shifted to bits 0..7, share one byte per
-    assignment, and eight such byte strings interleave into one label per
-    8 bytes. Labels are only compared for equality, so byte order is moot.
+    ``lanes[v - 1]`` holds variable v's value under a in byte a and ``ones``
+    holds 1 in every byte, so a clause's falsifying subcube is the AND of its
+    literals' lanes, a positive literal's complemented. Eight clauses,
+    shifted to bits 0..7, share one byte per assignment, and eight such byte
+    strings interleave into one label per 8 bytes. Labels are only compared
+    for equality, so byte order is moot.
     """
     buf = bytearray(8 * size)
-    for g in range(0, len(block), 8):
+    for g in range(0, len(clauses), 8):
         byte = 0
-        for j, (mask, pattern) in enumerate(block[g : g + 8]):
+        for j, clause in enumerate(clauses[g : g + 8]):
             cube = ones
-            for p in iter_bits(mask):
-                cube &= lanes[p] if pattern >> p & 1 else ones ^ lanes[p]
+            for lit in clause.literals:
+                lane = lanes[lit.var - 1]
+                cube &= lane if lit.negated else ones ^ lane
             byte |= cube << j
         buf[g >> 3 :: 8] = byte.to_bytes(size, "little")
     return memoryview(buf).cast("Q")
 
 
-def _split_classes(
-    classes: list[Sequence[int]], labels: memoryview, n: int
-) -> list[array]:
+def _split_classes(classes: list[Sequence[int]], labels: memoryview) -> list[array]:
     """Each class split into its groups of equal label, groups of one
     dropped, every group in increasing order.
 
-    One sort of (class, label, assignment) keys puts each group in a run;
-    a byte per neighbouring pair marks equal (class, label) heads, and the
-    runs of 1s among those bytes are the groups of two or more.
+    Per class, one dict maps each label seen once so far to its assignment.
+    A label's second assignment moves the pair to the dict of groups, where
+    an array grows as the later members arrive in increasing order.
     """
-    low = full_mask(n)
-    keys = sorted(
-        (c << 64 | labels[a]) << n | a for c, cls in enumerate(classes) for a in cls
-    )
-    heads = map(rshift, keys, repeat(n))
-    same = bytes(map(eq, heads, map(rshift, islice(keys, 1, None), repeat(n))))
-    return [
-        array("L", map(and_, keys[run.start() : run.end() + 1], repeat(low)))
-        for run in re.finditer(rb"\x01+", same)
-    ]
+    split = []
+    for cls in classes:
+        first: dict[int, int] = {}
+        groups: dict[int, array] = {}
+        for a in cls:
+            label = labels[a]
+            group = groups.get(label)
+            if group is not None:
+                group.append(a)
+            elif label in first:
+                groups[label] = array("L", (first.pop(label), a))
+            else:
+                first[label] = a
+        split.extend(groups.values())
+    return split
 
 
 def profile_distinctness(
@@ -375,11 +373,9 @@ def profile_distinctness(
     collides: ``collisions`` is the sum of (class size - 1), and the witness
     is the lowest two assignments of the class whose second lowest is
     smallest, the first repeat in index order. Sampled mode compares random
-    assignment pairs.
+    assignment pairs, clause by clause until one tells them apart.
     """
     n = formula.n
-    position = {v: v - 1 for v in range(1, n + 1)}
-    masks = [_falsifying_pattern(c.literals, position) for c in formula.clauses]
     if mode == "exact":
         if n > EXACT_CAP:
             raise CapExceededError(f"exact profiles need n <= {EXACT_CAP}, got {n}")
@@ -389,18 +385,16 @@ def profile_distinctness(
         classes: list[Sequence[int]] = [range(size)] if n else []
         ones = spread(full_mask(size), 8)
         lanes = [spread(bit_plane(p, n), 8) for p in range(n)]
-        for start in range(0, len(masks), 64):
+        for start in range(0, formula.m, 64):
             if not classes:
                 break
-            labels = _block_labels(masks[start : start + 64], lanes, ones, size)
-            classes = _split_classes(classes, labels, n)
+            block = formula.clauses[start : start + 64]
+            classes = _split_classes(classes, _block_labels(block, lanes, ones, size))
         collisions = sum(len(cls) - 1 for cls in classes)
         witness = min(
             ((cls[0], cls[1]) for cls in classes), key=lambda w: w[1], default=None
         )
-        return ProfileReport(
-            "exact", collisions == 0, size, collisions, witness, seed
-        )
+        return ProfileReport("exact", collisions == 0, size, collisions, witness, seed)
     if mode == "sampled":
         if trials < 1:
             raise ValueError("sampled mode needs trials to be at least 1")
@@ -408,6 +402,8 @@ def profile_distinctness(
             raise ValueError(
                 "sampled mode needs a variable to draw: the formula has n=0"
             )
+        position = {v: v - 1 for v in range(1, n + 1)}
+        checks = [_falsifying_pattern(c.literals, position) for c in formula.clauses]
         rng = random.Random(derive_seed(seed, "profiles"))
         collisions = 0
         witness = None
@@ -416,7 +412,7 @@ def profile_distinctness(
             b = rng.getrandbits(n)
             if a == b:
                 continue
-            if _profile_of(a, masks) == _profile_of(b, masks):
+            if all((a & m == p) == (b & m == p) for m, p in checks):
                 collisions += 1
                 if witness is None:
                     witness = (a, b)
@@ -508,7 +504,8 @@ def heavy_partition_search(
     best: tuple[tuple[int, int, int], VariablePartition, int] | None = None
     for trial in range(1, max_trials + 1):
         xvars = tuple(v for v in range(1, n + 1) if rng.getrandbits(1))
-        yvars = tuple(v for v in range(1, n + 1) if v not in set(xvars))
+        xset = set(xvars)
+        yvars = tuple(v for v in range(1, n + 1) if v not in xset)
         if not xvars or not yvars:
             continue
         part = VariablePartition(xvars, yvars)
@@ -570,14 +567,7 @@ def heavy_sat_fraction(
     side_set = part.xset if side == "x" else part.yset
     d = formula.width
     cut = (1 - epsilon) * d
-    heavy = [
-        c for c in formula.clauses if len(c.vars & side_set) > cut
-    ]
-    # Least significant first, so sampled mode reads getrandbits(k) directly.
-    position = {v: i for i, v in enumerate(side_vars)}
-    checks = [
-        _falsifying_pattern(c.side_literals(side_set), position) for c in heavy
-    ]
+    heavy = [c for c in formula.clauses if len(c.vars & side_set) > cut]
     lll_reference = math.exp(-formula.n / (50 * d)) if d else 0.0
     k = len(side_vars)
     if mode == "exact":
@@ -585,12 +575,15 @@ def heavy_sat_fraction(
             raise CapExceededError(
                 f"exact mode needs side size <= {EXACT_CAP}, got {k}"
             )
-        planes = [bit_plane(p, k) for p in range(k)]
+        # Bit a of a side variable's plane is its value in side point a.
+        planes = {v: bit_plane(i, k) for i, v in enumerate(side_vars)}
+        full = full_mask(1 << k)
         falsified = 0
-        for mask, pattern in checks:
-            cube = full_mask(1 << k)
-            for p in iter_bits(mask):
-                cube &= planes[p] if pattern >> p & 1 else ~planes[p]
+        for clause in heavy:
+            cube = full
+            for lit in clause.side_literals(side_set):
+                plane = planes[lit.var]
+                cube &= plane if lit.negated else full ^ plane
             falsified |= cube
         good = (1 << k) - falsified.bit_count()
         fraction: Fraction | float = Fraction(good, 1 << k)
@@ -598,6 +591,11 @@ def heavy_sat_fraction(
     elif mode == "sampled":
         if trials < 1:
             raise ValueError("sampled mode needs trials to be at least 1")
+        # Least significant first, so a point is getrandbits(k) directly.
+        position = {v: i for i, v in enumerate(side_vars)}
+        checks = [
+            _falsifying_pattern(c.side_literals(side_set), position) for c in heavy
+        ]
         rng = random.Random(derive_seed(seed, "heavy-sat"))
         good = 0
         for _ in range(trials):
@@ -608,6 +606,4 @@ def heavy_sat_fraction(
         used = trials
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return HeavySatReport(
-        side, len(heavy), fraction, mode, used, lll_reference, seed
-    )
+    return HeavySatReport(side, len(heavy), fraction, mode, used, lll_reference, seed)

@@ -230,6 +230,38 @@ def profile_oracle(formula: CnfFormula) -> tuple[int, tuple[int, int] | None]:
     return collisions, witness
 
 
+def sampled_profiles_oracle(
+    formula: CnfFormula, seed: int, trials: int
+) -> tuple[int, tuple[int, int] | None, int]:
+    """(collisions, witness, rows_checked) of the sampled profiles report:
+    the same pair draws, each assignment's profile a frozenset of the
+    clauses it falsifies. A pair of equal draws is skipped, as the report
+    skips it.
+    """
+    from proofbench.randomcnf import derive_seed
+
+    masks = clause_bitmasks(formula)
+
+    def profile_of(alpha: int) -> frozenset[int]:
+        return frozenset(
+            i for i, (mask, pattern) in enumerate(masks) if alpha & mask == pattern
+        )
+
+    rng = random.Random(derive_seed(seed, "profiles"))
+    collisions = 0
+    witness = None
+    for _ in range(trials):
+        a = rng.getrandbits(formula.n)
+        b = rng.getrandbits(formula.n)
+        if a == b:
+            continue
+        if profile_of(a) == profile_of(b):
+            collisions += 1
+            if witness is None:
+                witness = (a, b)
+    return collisions, witness, trials
+
+
 def heavy_sat_oracle(formula: CnfFormula, part, side: str, epsilon) -> Fraction:
     """The exact heavy-sat fraction: every side assignment against every
     heavy clause, bit i of an assignment being the i-th side variable.

@@ -568,6 +568,44 @@ class TestStats:
         assert not report.exists()
         assert "n >= 2" in capsys.readouterr().err
 
+    def test_cnf_profiles_ignore_the_sampling_m(self, tmp_path):
+        # --m is not checked when --cnf supplies the formula
+        cnf = tmp_path / "e.cnf"
+        cnf.write_text("p cnf 20 0\n")
+        reports = []
+        for m in ("0", "1"):
+            report = tmp_path / f"m{m}.json"
+            code = main(
+                ["stats", "--stat", "profiles", "--cnf", str(cnf), "--n", "20",
+                 "--d", "3", "--m", m, "--mode", "sampled", "--trials", "5",
+                 "--report", str(report)]
+            )
+            assert code == 0
+            reports.append(read_report(report))
+        assert [r["config"]["m"] for r in reports] == [0, 1]
+        assert reports[0]["results"] == reports[1]["results"]
+
+    def test_cnf_expansion_ignores_the_sampling_width(self, tmp_path, capsys):
+        # d > n among the flags: the loaded formula is checked instead
+        empty, two = tmp_path / "e.cnf", tmp_path / "two.cnf"
+        empty.write_text("p cnf 20 0\n")
+        two.write_text("p cnf 20 2\n1 2 0\n3 4 0\n")
+        flags = ["--n", "1", "--d", "3", "--m", "5"]
+        assert main(["stats", "--stat", "expansion", "--cnf", str(empty), *flags]) == 2
+        assert capsys.readouterr().err == (
+            "proofbench: error: no clause-set size to check: s_max=10 and m=0 "
+            "must both be at least 1\n"
+        )
+        report = tmp_path / "two.json"
+        code = main(
+            ["stats", "--stat", "expansion", "--cnf", str(two), *flags,
+             "--s-max", "1", "--report", str(report)]
+        )
+        assert code == 0
+        data = read_report(report)
+        assert [data["config"][k] for k in "ndm"] == [1, 3, 5]
+        assert data["results"]["rows"][0]["min_vars"] == 2
+
     def test_sampled_profiles_without_variables_exits_2(self, tmp_path, capsys):
         # every draw is the empty assignment, so no pair would be compared
         cnf = tmp_path / "empty.cnf"

@@ -16,6 +16,7 @@ from helpers import (
     sample_f_oracle,
     sample_tensor_oracle,
     sampled_min_union_oracle,
+    sampled_profiles_oracle,
 )
 from proofbench.cnf import Clause, CnfFormula, Literal, VariablePartition, parse_dimacs
 from proofbench.errors import CapExceededError, ScopeError
@@ -227,6 +228,14 @@ class TestExpansion:
                 CnfFormula(3, ()), Fraction(1, 2), 1, allow_beyond_regime=True
             )
 
+    @pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(1), Fraction(-1, 2)])
+    def test_epsilon_out_of_range(self, epsilon):
+        f = sample_f(DistributionParams(10, 5, 3, 0))
+        with pytest.raises(
+            ValueError, match="^epsilon must lie strictly between 0 and 1$"
+        ):
+            expansion_report(f, epsilon, 1, allow_beyond_regime=True)
+
 
 class TestProfiles:
     def test_contradiction_profiles_distinct(self):
@@ -288,12 +297,24 @@ class TestProfiles:
         exact = profile_distinctness(f)
         assert (exact.rows_checked, exact.collisions, exact.distinct) == (1, 0, True)
 
+    def test_unknown_mode(self):
+        f = parse_dimacs("p cnf 2 1\n1 2 0\n")
+        with pytest.raises(ValueError, match="^unknown mode 'fast'$"):
+            profile_distinctness(f, mode="fast")
+
 
 class TestEntropyAndBounds:
     def test_entropy_values(self):
         assert binary_entropy(Fraction(1, 2)) == pytest.approx(1.0)
         assert binary_entropy(Fraction(1, 4)) == pytest.approx(0.811278, abs=1e-6)
         assert binary_entropy(Fraction(1, 4)) == binary_entropy(Fraction(3, 4))
+
+    @pytest.mark.parametrize("e", [0, 1, Fraction(3, 2), -0.25])
+    def test_entropy_range(self, e):
+        with pytest.raises(
+            ValueError, match="^entropy argument must lie strictly between 0 and 1$"
+        ):
+            binary_entropy(e)
 
     def test_heavy_bound_monotone_in_width(self):
         for eps in (Fraction(1, 8), Fraction(1, 4), Fraction(2, 5)):
@@ -402,6 +423,23 @@ class TestHeavyPartitionSearch:
         with pytest.raises(ValueError, match="n >= 2"):
             heavy_partition_search(f, Fraction(1, 4))
 
+    def test_every_trial_leaves_a_side_empty(self):
+        # the formula of `stats --stat heavy-partition --n 2 --d 1 --m 1
+        # --seed 1`: its first fair-coin split puts both variables on one side
+        f = sample_f(DistributionParams(1, 2, 1, 1))
+        with pytest.raises(ValueError, match="^all 1 trials left a side empty$"):
+            heavy_partition_search(f, Fraction(1, 2), max_trials=1, seed=1)
+        report = heavy_partition_search(f, Fraction(1, 2), max_trials=5, seed=1)
+        assert report.accepted and report.trials_used == 2
+
+    @pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(1), Fraction(-1, 2)])
+    def test_epsilon_out_of_range(self, epsilon):
+        f = sample_f(DistributionParams(10, 5, 3, 0))
+        with pytest.raises(
+            ValueError, match="^epsilon must lie strictly between 0 and 1$"
+        ):
+            heavy_partition_search(f, epsilon)
+
 
 class TestHeavySatFraction:
     def test_no_heavy_clauses(self):
@@ -451,6 +489,18 @@ class TestHeavySatFraction:
         part = VariablePartition((1,), (2, 3, 4))
         report = heavy_sat_fraction(f, part, "y", Fraction(1, 4))
         assert report.heavy_count == 1 and report.fraction == Fraction(7, 8)
+
+    def test_unknown_side(self):
+        f = CnfFormula(4, (Clause.from_signed([-2, 3, 4]),))
+        part = VariablePartition((1,), (2, 3, 4))
+        with pytest.raises(ValueError, match="^side must be 'x' or 'y'$"):
+            heavy_sat_fraction(f, part, "z", Fraction(1, 4))
+
+    def test_unknown_mode(self):
+        f = CnfFormula(4, (Clause.from_signed([-2, 3, 4]),))
+        part = VariablePartition((1,), (2, 3, 4))
+        with pytest.raises(ValueError, match="^unknown mode 'fast'$"):
+            heavy_sat_fraction(f, part, "y", Fraction(1, 4), mode="fast")
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_variable_outside_the_partition(self, mode):
@@ -593,6 +643,20 @@ class TestKernelsMatchOracles:
         report = profile_distinctness(f)
         assert report.rows_checked == 1 << f.n
         assert (report.collisions, report.witness) == profile_oracle(f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ragged_formulas(max_n=4), st.integers(1, 60), st.integers(0, 2**32))
+    @example(SINGLE, 40, 0)
+    @example(SHARED_VAR, 60, 1)
+    @example(REPEATED, 60, 2)
+    def test_sampled_profiles(self, f, trials, seed):
+        # n <= 4: equal draws are skipped and distinct ones often collide
+        assume(f.n > 0)
+        report = profile_distinctness(f, mode="sampled", seed=seed, trials=trials)
+        assert (
+            report.collisions, report.witness, report.rows_checked
+        ) == sampled_profiles_oracle(f, seed, trials)
+        assert report.distinct == (report.collisions == 0)
 
     @settings(max_examples=40, deadline=None)
     @given(
