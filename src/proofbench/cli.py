@@ -265,6 +265,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     if args.stat == "unsat-rate":
+        if args.cnf:
+            raise ValueError(
+                "unsat-rate always samples its formulas and takes no --cnf"
+            )
         config["samples"] = args.samples
         params = randomcnf.DistributionParams(args.m, args.n, args.d, args.seed)
         report = randomcnf.unsat_rate(
@@ -426,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="unsat-rate",
     )
     p.add_argument("--dist", choices=["f", "tensor"], default="f")
-    p.add_argument("--cnf", help="use this formula instead of sampling")
+    p.add_argument(
+        "--cnf", help="use this formula instead of sampling (not with unsat-rate)"
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)

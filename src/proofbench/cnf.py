@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from heapq import heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
 from .bitops import bit_plane
@@ -382,7 +381,7 @@ LogLine = tuple[frozenset[int], tuple[int, int] | None, int | None]
 
 
 def dpll(formula: CnfFormula, log: list[LogLine] | None = None) -> Assignment | None:
-    """Deterministic DPLL with unit propagation over clause counters.
+    """Deterministic DPLL with unit propagation over clause bitmasks.
 
     Propagation works in rounds: the lowest-index falsified clause is a
     conflict, otherwise the lowest-index unit clause is assigned. Branching
@@ -394,57 +393,56 @@ def dpll(formula: CnfFormula, log: list[LogLine] | None = None) -> Assignment | 
     per clause, in order, then every resolvent of its conflict analysis,
     each clause at most once; an unsatisfiable formula's log ends in the
     empty clause.
+
+    The state is a few ints: bit ci of a clause set stands for clause ci,
+    and bit v of a variable set for variable v. ``free`` holds each clause's
+    count of unassigned literals bit-sliced, plane b holding bit b of every
+    count. A call never changes its caller's ints, so backtracking is
+    returning to them.
     """
     if formula.n > SOLVER_CAP:
         raise CapExceededError(f"n={formula.n} exceeds solver cap {SOLVER_CAP}")
     n, m = formula.n, formula.m
     clause_lits = [c.signed() for c in formula.clauses]
-    occ: dict[int, list[int]] = {}  # literal -> its clauses, in clause order
+    occ = [0] * (2 * n + 1)  # literal -> its clauses; -v indexes from the end
+    clause_vars = [0] * m  # clause -> its variables
+    clause_pos = [0] * m  # clause -> its positive variables
+    free = [0] * max(1, formula.width.bit_length())
     for ci, lits in enumerate(clause_lits):
+        bit = 1 << ci
         for lit in lits:
-            occ.setdefault(lit, []).append(ci)
-
-    value: list[int | None] = [None] * (n + 1)
-    sat_count = [0] * m
-    free_count = [len(lits) for lits in clause_lits]
-    satisfied_clauses = 0
+            occ[lit] |= bit
+            clause_vars[ci] |= 1 << abs(lit)
+            if lit > 0:
+                clause_pos[ci] |= 1 << lit
+        for b in range(len(free)):
+            if len(lits) >> b & 1:
+                free[b] |= bit
+    everything = (1 << m) - 1
     index_of: dict[frozenset[int], int] = {}
     if log is not None:
         for ci, lits in enumerate(clause_lits):
             log.append((frozenset(lits), None, None))
             index_of.setdefault(log[-1][0], ci)
 
-    def assign(lit: int, units: list[int]) -> int:
-        """Make ``lit`` true and push the clauses it leaves unit onto the heap
-        ``units``. Returns the lowest-index clause it falsifies, or -1.
+    def assign(lit: int, sat: int, free: list[int]) -> tuple[int, list[int], int]:
+        """Make ``lit`` true: the satisfied clauses, the free planes with one
+        borrow chain subtracting 1 from every clause of ``lit`` or ``-lit``,
+        and the clauses this falsifies.
         """
-        nonlocal satisfied_clauses
-        value[abs(lit)] = 1 if lit > 0 else 0
-        for ci in occ.get(lit, ()):
-            if sat_count[ci] == 0:
-                satisfied_clauses += 1
-            sat_count[ci] += 1
-            free_count[ci] -= 1
-        conflict = -1
-        for ci in occ.get(-lit, ()):
-            free_count[ci] -= 1
-            if sat_count[ci] == 0:
-                if free_count[ci] == 1:
-                    heappush(units, ci)
-                elif free_count[ci] == 0 and conflict < 0:
-                    conflict = ci
-        return conflict
+        hit = occ[lit]
+        borrow = hit | occ[-lit]
+        planes = []
+        left = 0  # clauses with a free literal left
+        for plane in free:
+            plane ^= borrow
+            borrow &= plane
+            planes.append(plane)
+            left |= plane
+        return sat | hit, planes, occ[-lit] & ~sat & ~left
 
-    def unassign(lit: int) -> None:
-        nonlocal satisfied_clauses
-        value[abs(lit)] = None
-        for ci in occ.get(lit, ()):
-            sat_count[ci] -= 1
-            if sat_count[ci] == 0:
-                satisfied_clauses -= 1
-            free_count[ci] += 1
-        for ci in occ.get(-lit, ()):
-            free_count[ci] += 1
+    def lowest(clauses: int) -> int:
+        return (clauses & -clauses).bit_length() - 1
 
     def emit(lits: frozenset[int], premises: tuple[int, int], pivot: int) -> int:
         if lits not in index_of:
@@ -464,33 +462,50 @@ def dpll(formula: CnfFormula, log: list[LogLine] | None = None) -> Assignment | 
                 cur_idx = emit(cur, (cur_idx, reason), abs(lit))
         return cur_idx
 
-    def search(units: list[int]) -> Assignment | int:
-        """Propagate the pending ``units``, then branch. Returns a witness or,
-        with the log, the line of a clause falsified under the state at entry.
+    def search(sat: int, free: list[int], assigned: int, ones: int) -> Assignment | int:
+        """Propagate the unit clauses of the given state, then branch on
+        ``assigned``'s lowest clear bit (bit 0 is always set). Returns a
+        witness or, with the log, the line of a clause falsified under the
+        state at entry.
         """
         trail: list[tuple[int, int]] = []  # (assigned literal, reason clause)
         outcome: Assignment | int = -1
-        while units:
-            ci = heappop(units)
-            if sat_count[ci] or free_count[ci] != 1:
-                continue  # satisfied since it was pushed
-            lit = next(x for x in clause_lits[ci] if value[abs(x)] is None)
-            trail.append((lit, ci))
-            outcome = assign(lit, units)
-            if outcome >= 0:
+        while True:
+            several = 0  # clauses with two or more free literals
+            for plane in free[1:]:
+                several |= plane
+            units = free[0] & ~several & ~sat
+            if not units:
                 break
-        if outcome == -1 and satisfied_clauses == m:
+            ci = lowest(units)
+            var = (clause_vars[ci] & ~assigned).bit_length() - 1
+            lit = var if clause_pos[ci] >> var & 1 else -var
+            trail.append((lit, ci))
+            sat, free, conflict = assign(lit, sat, free)
+            assigned |= 1 << var
+            if lit > 0:
+                ones |= 1 << var
+            if conflict:
+                outcome = lowest(conflict)
+                break
+        if outcome == -1 and sat == everything:
             outcome = Assignment.from_map(
-                {v: value[v] or 0 for v in range(1, n + 1)}
+                {v: ones >> v & 1 for v in range(1, n + 1)}
             )
         elif outcome == -1:
-            var = value.index(None, 1)
+            var = (~assigned & (assigned + 1)).bit_length() - 1
             refuted = []
             for lit in (-var, var):
-                branch_units: list[int] = []
-                conflict = assign(lit, branch_units)
-                outcome = search(branch_units) if conflict < 0 else conflict
-                unassign(lit)
+                branch_sat, branch_free, conflict = assign(lit, sat, free)
+                if conflict:
+                    outcome = lowest(conflict)
+                else:
+                    outcome = search(
+                        branch_sat,
+                        branch_free,
+                        assigned | 1 << var,
+                        ones | (1 << var) if lit > 0 else ones,
+                    )
                 if isinstance(outcome, Assignment):
                     break
                 if log is not None and -lit not in log[outcome][0]:
@@ -506,11 +521,9 @@ def dpll(formula: CnfFormula, log: list[LogLine] | None = None) -> Assignment | 
                     )
         if log is not None and not isinstance(outcome, Assignment):
             outcome = resolve_away(outcome, trail)
-        for lit, _ in reversed(trail):
-            unassign(lit)
         return outcome
 
-    outcome = search([ci for ci in range(m) if free_count[ci] == 1])
+    outcome = search(0, free, 1, 0)
     return outcome if isinstance(outcome, Assignment) else None
 
 

@@ -144,7 +144,7 @@ def unsat_rate(
     tensor: bool,
     samples: int,
 ) -> UnsatRateReport:
-    """Fraction of sampled formulas the brute-force oracle refutes."""
+    """Fraction of sampled formulas that DPLL (``brute_force_sat``) refutes."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     total_vars = 2 * params.n if tensor else params.n

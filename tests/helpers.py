@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import product
 
-from proofbench.cnf import Assignment, CnfFormula
+from proofbench.cnf import SOLVER_CAP, Assignment, CnfFormula, LogLine
+from proofbench.errors import CapExceededError
 
 
 def clause_bitmasks(formula: CnfFormula) -> list[tuple[int, int]]:
@@ -72,6 +74,144 @@ def random_formula(
         )
         clauses.append(Clause(lits))
     return CnfFormula(n, tuple(clauses))
+
+
+def dpll_oracle(
+    formula: CnfFormula, log: list[LogLine] | None = None
+) -> Assignment | None:
+    """Deterministic DPLL with unit propagation over clause counters, the
+    search that ``cnf.dpll``'s bitsets replaced: per-clause counters, a heap
+    of pending units, and an ``unassign`` per literal on the way back.
+    ``cnf.dpll`` must return the same witness and write the same log.
+
+    Propagation works in rounds: the lowest-index falsified clause is a
+    conflict, otherwise the lowest-index unit clause is assigned. Branching
+    takes the smallest unassigned variable, value 0 before 1, so a
+    satisfiable formula yields the lexicographically least witness (free
+    variables completed with 0). Returns None when unsatisfiable.
+
+    Given an empty list as ``log``, the search first appends one axiom line
+    per clause, in order, then every resolvent of its conflict analysis,
+    each clause at most once; an unsatisfiable formula's log ends in the
+    empty clause.
+    """
+    if formula.n > SOLVER_CAP:
+        raise CapExceededError(f"n={formula.n} exceeds solver cap {SOLVER_CAP}")
+    n, m = formula.n, formula.m
+    clause_lits = [c.signed() for c in formula.clauses]
+    occ: dict[int, list[int]] = {}  # literal -> its clauses, in clause order
+    for ci, lits in enumerate(clause_lits):
+        for lit in lits:
+            occ.setdefault(lit, []).append(ci)
+
+    value: list[int | None] = [None] * (n + 1)
+    sat_count = [0] * m
+    free_count = [len(lits) for lits in clause_lits]
+    satisfied_clauses = 0
+    index_of: dict[frozenset[int], int] = {}
+    if log is not None:
+        for ci, lits in enumerate(clause_lits):
+            log.append((frozenset(lits), None, None))
+            index_of.setdefault(log[-1][0], ci)
+
+    def assign(lit: int, units: list[int]) -> int:
+        """Make ``lit`` true and push the clauses it leaves unit onto the heap
+        ``units``. Returns the lowest-index clause it falsifies, or -1.
+        """
+        nonlocal satisfied_clauses
+        value[abs(lit)] = 1 if lit > 0 else 0
+        for ci in occ.get(lit, ()):
+            if sat_count[ci] == 0:
+                satisfied_clauses += 1
+            sat_count[ci] += 1
+            free_count[ci] -= 1
+        conflict = -1
+        for ci in occ.get(-lit, ()):
+            free_count[ci] -= 1
+            if sat_count[ci] == 0:
+                if free_count[ci] == 1:
+                    heappush(units, ci)
+                elif free_count[ci] == 0 and conflict < 0:
+                    conflict = ci
+        return conflict
+
+    def unassign(lit: int) -> None:
+        nonlocal satisfied_clauses
+        value[abs(lit)] = None
+        for ci in occ.get(lit, ()):
+            sat_count[ci] -= 1
+            if sat_count[ci] == 0:
+                satisfied_clauses -= 1
+            free_count[ci] += 1
+        for ci in occ.get(-lit, ()):
+            free_count[ci] += 1
+
+    def emit(lits: frozenset[int], premises: tuple[int, int], pivot: int) -> int:
+        if lits not in index_of:
+            index_of[lits] = len(log)
+            log.append((lits, premises, pivot))
+        return index_of[lits]
+
+    def resolve_away(start: int, trail: list[tuple[int, int]]) -> int:
+        """Resolve a clause falsified under the current state against this
+        call's propagation reasons, newest first, until it is falsified under
+        the state at call entry.
+        """
+        cur_idx, cur = start, log[start][0]
+        for lit, reason in reversed(trail):
+            if -lit in cur:
+                cur = (cur - {-lit}) | (log[reason][0] - {lit})
+                cur_idx = emit(cur, (cur_idx, reason), abs(lit))
+        return cur_idx
+
+    def search(units: list[int]) -> Assignment | int:
+        """Propagate the pending ``units``, then branch. Returns a witness or,
+        with the log, the line of a clause falsified under the state at entry.
+        """
+        trail: list[tuple[int, int]] = []  # (assigned literal, reason clause)
+        outcome: Assignment | int = -1
+        while units:
+            ci = heappop(units)
+            if sat_count[ci] or free_count[ci] != 1:
+                continue  # satisfied since it was pushed
+            lit = next(x for x in clause_lits[ci] if value[abs(x)] is None)
+            trail.append((lit, ci))
+            outcome = assign(lit, units)
+            if outcome >= 0:
+                break
+        if outcome == -1 and satisfied_clauses == m:
+            outcome = Assignment.from_map(
+                {v: value[v] or 0 for v in range(1, n + 1)}
+            )
+        elif outcome == -1:
+            var = value.index(None, 1)
+            refuted = []
+            for lit in (-var, var):
+                branch_units: list[int] = []
+                conflict = assign(lit, branch_units)
+                outcome = search(branch_units) if conflict < 0 else conflict
+                unassign(lit)
+                if isinstance(outcome, Assignment):
+                    break
+                if log is not None and -lit not in log[outcome][0]:
+                    break  # refuted without this decision
+                refuted.append(outcome)
+            else:
+                if log is not None:
+                    low, high = refuted
+                    outcome = emit(
+                        (log[low][0] - {var}) | (log[high][0] - {-var}),
+                        (low, high),
+                        var,
+                    )
+        if log is not None and not isinstance(outcome, Assignment):
+            outcome = resolve_away(outcome, trail)
+        for lit, _ in reversed(trail):
+            unassign(lit)
+        return outcome
+
+    outcome = search([ci for ci in range(m) if free_count[ci] == 1])
+    return outcome if isinstance(outcome, Assignment) else None
 
 
 def unsat_3cnfs() -> list[tuple[str, CnfFormula]]:

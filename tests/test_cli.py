@@ -455,6 +455,21 @@ class TestStats:
         assert not report.exists()
         assert "samples must be at least 1" in capsys.readouterr().err
 
+    def test_unsat_rate_with_cnf_exits_2(self, tmp_path, capsys):
+        # the rate is over sampled formulas, so a --cnf file would go unread
+        report = tmp_path / "stats.json"
+        code = main(
+            ["stats", "--stat", "unsat-rate", "--cnf", str(tmp_path / "none.cnf"),
+             "--n", "3", "--d", "2", "--m", "5", "--samples", "2",
+             "--report", str(report)]
+        )
+        assert code == 2
+        assert not report.exists()
+        assert capsys.readouterr().err == (
+            "proofbench: error: unsat-rate always samples its formulas and "
+            "takes no --cnf\n"
+        )
+
     def test_heavy_partition(self, tmp_path):
         report = tmp_path / "hp.json"
         code = main(

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exhaustive_sat, random_formula
+from helpers import dpll_oracle, exhaustive_sat, random_formula
 from proofbench.cnf import (
+    SOLVER_CAP,
     Assignment,
     Clause,
     CnfFormula,
@@ -13,6 +14,7 @@ from proofbench.cnf import (
     VariablePartition,
     brute_force_sat,
     clause_to_inequality,
+    dpll,
     eval_clause,
     parse_dimacs,
     search_violation,
@@ -24,6 +26,12 @@ from proofbench.errors import (
     DimacsError,
     NoViolationError,
     ScopeError,
+)
+from proofbench.randomcnf import (
+    DistributionParams,
+    derive_seed,
+    sample_f,
+    sample_tensor,
 )
 
 COMPLETE_2CNF = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
@@ -51,6 +59,44 @@ def formulas(draw, max_n=6, max_m=8, max_width=3):
             Clause(tuple(Literal(v, s) for v, s in zip(sorted(variables), signs)))
         )
     return CnfFormula(n, tuple(clauses))
+
+
+@st.composite
+def dpll_edge_formulas(draw):
+    """Formulas of width up to 8 (four free-count planes), with repeated
+    clauses and unit clauses mixed in at any position.
+    """
+    f = draw(formulas(max_n=10, max_m=30, max_width=8))
+    repeats = draw(st.lists(st.sampled_from(f.clauses), max_size=4))
+    units = draw(
+        st.lists(
+            st.builds(Literal, st.integers(1, f.n), st.booleans()), max_size=3
+        )
+    )
+    clauses = draw(
+        st.permutations(list(f.clauses) + repeats + [Clause((u,)) for u in units])
+    )
+    return CnfFormula(f.n, tuple(clauses))
+
+
+# An unsatisfiable 3-CNF over SOLVER_CAP variables, with one clause of width 8
+AT_THE_CAP = CnfFormula(
+    SOLVER_CAP,
+    (Clause.from_signed(range(17, 25)),)
+    + sample_f(DistributionParams(120, SOLVER_CAP, 3, 1)).clauses,
+)
+
+
+def assert_matches_counter_search(f: CnfFormula) -> Assignment | None:
+    """``dpll`` and the counter search agree on the witness, logged and
+    unlogged, and write the same log line for line.
+    """
+    log, expected_log = [], []
+    expected = dpll_oracle(f, expected_log)
+    assert dpll(f, log) == expected
+    assert log == expected_log
+    assert dpll(f) == dpll_oracle(f) == expected
+    return expected
 
 
 class TestParsing:
@@ -172,6 +218,44 @@ class TestBruteForce:
         if expected is None:
             assert resolution_problems(resolution_refutation_from_dpll(f)) == []
 
+    @settings(max_examples=100, deadline=None)
+    @given(dpll_edge_formulas())
+    def test_dpll_matches_counter_search(self, f):
+        assert_matches_counter_search(f)
+
+    def test_at_the_cap_is_refuted(self):
+        assert AT_THE_CAP.n == SOLVER_CAP and AT_THE_CAP.width == 8
+        assert assert_matches_counter_search(AT_THE_CAP) is None
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_no_clauses_give_the_all_zero_witness(self, n):
+        expected = Assignment.from_map(dict.fromkeys(range(1, n + 1), 0))
+        assert assert_matches_counter_search(CnfFormula(n, ())) == expected
+
+    def test_corpus_matches_counter_search(self):
+        # 21 random 3-CNFs at each n from 3 to 20 (m from 2n to 6n), and 12
+        # tensor formulas over 16 variables at each of m=160 and m=384
+        corpus = [
+            sample_f(DistributionParams(m, n, 3, derive_seed(n, "f", i)))
+            for n in range(3, 21)
+            for i, m in enumerate(n * (10 + j) // 5 for j in range(21))
+        ] + [
+            sample_tensor(DistributionParams(m, 8, 2, derive_seed(m, "t", i)))[0]
+            for m in (160, 384)
+            for i in range(12)
+        ]
+        # the oracle runs once, with its log; the unlogged search's witness
+        # is compared with the logged one
+        verdicts = []
+        for f in corpus:
+            log, expected_log = [], []
+            witness = dpll_oracle(f, expected_log)
+            assert dpll(f, log) == witness
+            assert log == expected_log
+            assert dpll(f) == witness
+            verdicts.append(witness is None)
+        assert 0 < sum(verdicts) < len(verdicts)
+
     def test_witness_satisfies(self):
         rng = random.Random(99)
         for _ in range(40):
@@ -216,6 +300,94 @@ class TestSearchViolation:
             else:
                 with pytest.raises(NoViolationError):
                     search_violation(f, part, x, y)
+
+
+class TestValidators:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Literal(0), "variable index must be >= 1, got 0"),
+            (lambda: Literal(-3), "variable index must be >= 1, got -3"),
+            (lambda: Literal.from_signed(0), "0 is not a literal"),
+            (lambda: Clause(()), "a clause must contain at least one literal"),
+            (
+                lambda: Clause.from_signed([2, 1, -2]),
+                "variable 2 repeated within a clause",
+            ),
+            (lambda: CnfFormula(-1, ()), "variable count must be nonnegative"),
+            (
+                lambda: CnfFormula(
+                    2, (Clause.from_signed([1]), Clause.from_signed([-3, 2]))
+                ),
+                "clause 2 mentions variable 3 > n=2",
+            ),
+            (
+                lambda: Assignment(((2, 0), (1, 1))),
+                "assignment items must be sorted by distinct variable",
+            ),
+            (
+                lambda: Assignment(((1, 0), (1, 1))),
+                "assignment items must be sorted by distinct variable",
+            ),
+            (
+                lambda: Assignment(((1, 0), (2, 2))),
+                "assignment value for 2 must be 0 or 1",
+            ),
+            (
+                lambda: Assignment.from_map({1: 0, 2: 1}).union(
+                    Assignment.from_map({2: 0, 3: 1})
+                ),
+                "conflicting values for variable 2",
+            ),
+            (
+                lambda: Assignment.from_index((2, 5, 7), 8),
+                "index 8 out of range for 3 variables",
+            ),
+            (
+                lambda: Assignment.from_index((2, 5), -1),
+                "index -1 out of range for 2 variables",
+            ),
+            (
+                lambda: VariablePartition((1, 3, 1), (2,)),
+                "partition sides must not repeat variables",
+            ),
+            (
+                lambda: VariablePartition((1,), (2, 3, 2)),
+                "partition sides must not repeat variables",
+            ),
+            (
+                lambda: VariablePartition((1, 2, 4), (2, 3, 4)),
+                "partition sides overlap on [2, 4]",
+            ),
+            (
+                lambda: VariablePartition((1,), (3,)),
+                "partition must cover exactly the variables 1..n",
+            ),
+        ],
+        ids=[
+            "literal-zero", "literal-negative", "from-signed-zero", "empty-clause",
+            "repeated-variable", "negative-n", "clause-out-of-scope",
+            "assignment-unsorted", "assignment-repeated", "assignment-value",
+            "conflicting-union", "index-too-large", "index-negative",
+            "partition-x-repeats", "partition-y-repeats", "partition-overlap",
+            "partition-gap",
+        ],
+    )
+    def test_rejects_with_message(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_exact_sides_name_the_side(self, side):
+        part = VariablePartition((1,), (2,))
+        sides = {"x": Assignment.from_map({1: 0}), "y": Assignment.from_map({2: 1})}
+        sides[side] = Assignment.from_map({1: 0, 2: 1})
+        with pytest.raises(ScopeError) as info:
+            part.check_exact_sides(sides["x"], sides["y"])
+        assert str(info.value) == (
+            f"{side} must be scoped exactly to the partition's {side.upper()} side"
+        )
 
 
 class TestStructures:
