@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -37,6 +38,22 @@ from proofbench.randomcnf import (
 )
 
 COMPLETE_2CNF = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n"
+CSP_DIGEST = "595d4bd43d6eb7d1c1feb21b261e798c4fdc309a209631c211da99aedf0bf5d6"
+
+
+def csp_batch():
+    """40 formulas with n <= 10, each on the alternating partition and on
+    the first-half/second-half one.
+    """
+    rng = random.Random(26)
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        f = random_formula(rng, n, rng.randint(1, 3 * n))
+        half = n // 2
+        yield f, VariablePartition.alternating(n)
+        yield f, VariablePartition(
+            tuple(range(1, half + 1)), tuple(range(half + 1, n + 1))
+        )
 
 
 def complete_setup():
@@ -55,6 +72,29 @@ def eval_oracle(graph: ConstraintGraph, inst: CspSatInstance) -> bool:
         ):
             return True
     return False
+
+
+def test_instances_pinned():
+    # every U(x) and V(y) bit vector and every injectivity answer of the
+    # batch; the batch has clauses without X-literals and without Y-literals
+    digest = hashlib.sha256()
+    answers = set()
+    sides = set()
+    for f, part in csp_batch():
+        g = build_constraint_graph(f, part)
+        for c in f.clauses:
+            sides.add((bool(c.vars & part.xset), bool(c.vars & part.yset)))
+        for i in range(1 << part.n1):
+            digest.update(b"U%d;" % accepting_instance(g, part.x_assignment(i)).bits)
+        for i in range(1 << part.n2):
+            y = part.y_assignment(i)
+            digest.update(b"V%d;" % rejecting_instance(g, f, part, y).bits)
+        distinct = rejecting_images_distinct(g, f, part)
+        answers.add(distinct)
+        digest.update(b"D%d;" % distinct)
+    assert answers == {False, True}
+    assert sides == {(True, False), (False, True), (True, True)}
+    assert digest.hexdigest() == CSP_DIGEST
 
 
 class TestGraph:
