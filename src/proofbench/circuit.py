@@ -43,7 +43,7 @@ from .cpproof import (
     is_refutation_terminal,
     resolution_refutation_from_dpll,
 )
-from .cspsat import CspSatInstance
+from .cspsat import CspSatInstance, falsifying_entry
 from .errors import SoundnessError
 from .gates import AndGate, ConstGate, Gate, InputGate, MonotoneCircuit, OrGate
 from .linear import LinearInequality
@@ -417,12 +417,10 @@ def compile_cc_refutation(
 
     def build_axiom(i: int, ln: CcLine) -> dict[int, int]:
         # The line's table is its clause's (checked above), so a nonempty good
-        # rectangle holds only x falsifying the clause's X-literals: the entry
-        # alpha is their falsifying bits in variable order. Empty good
-        # histories are not materialized (constants serve them later).
-        clause = formula.clauses[ln.axiom - 1]
-        xlits = sorted(clause.side_literals(part.xset), key=lambda l: l.var)
-        alpha = tuple(int(lit.negated) for lit in xlits)
+        # rectangle holds only x falsifying the clause's X-literals: x read on
+        # them is the clause's falsifying entry. Empty good histories are not
+        # materialized (constants serve them later).
+        alpha = falsifying_entry(formula.clauses[ln.axiom - 1], part)
         out = {}
         for leaf, h, xm, ym in good_per_line[i]:
             if xm and ym:

@@ -496,16 +496,14 @@ def dpll(formula: CnfFormula, log: list[LogLine] | None = None) -> Assignment | 
             var = (~assigned & (assigned + 1)).bit_length() - 1
             refuted = []
             for lit in (-var, var):
-                branch_sat, branch_free, conflict = assign(lit, sat, free)
-                if conflict:
-                    outcome = lowest(conflict)
-                else:
-                    outcome = search(
-                        branch_sat,
-                        branch_free,
-                        assigned | 1 << var,
-                        ones | (1 << var) if lit > 0 else ones,
-                    )
+                # at the fixpoint open clauses have two free literals: no conflict
+                branch_sat, branch_free, _ = assign(lit, sat, free)
+                outcome = search(
+                    branch_sat,
+                    branch_free,
+                    assigned | 1 << var,
+                    ones | (1 << var) if lit > 0 else ones,
+                )
                 if isinstance(outcome, Assignment):
                     break
                 if log is not None and -lit not in log[outcome][0]:

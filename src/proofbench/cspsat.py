@@ -13,12 +13,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .bitops import full_mask
-from .cnf import Assignment, CnfFormula, VariablePartition, eval_clause
+from .cnf import Assignment, Clause, CnfFormula, Literal, VariablePartition
 from .errors import CapExceededError, ScopeError
+from .randomcnf import profile_distinctness
+from .semantics import check_scope
 
 EVAL_CAP = 20
 EXACT_R_CAP = 3
@@ -96,9 +98,6 @@ class CspSatInstance:
             self.bit(off + r) for r in range(self.graph.block_sizes[i])
         )
 
-    def leq(self, other: "CspSatInstance") -> bool:
-        return self.bits & ~other.bits == 0
-
 
 def build_constraint_graph(
     formula: CnfFormula, part: VariablePartition
@@ -121,26 +120,49 @@ def accepting_instance(graph: ConstraintGraph, x: Assignment) -> CspSatInstance:
     return CspSatInstance(graph, bits)
 
 
+def falsifying_entry(clause: Clause, part: VariablePartition) -> tuple[int, ...]:
+    """Negation bits of the clause's X-literals in variable order: the one
+    entry of its block that a rejecting instance can zero. Raises
+    ``ScopeError`` for a variable the partition does not hold.
+    """
+    check_scope(clause.literals, part)
+    xlits = sorted(clause.side_literals(part.xset), key=lambda lit: lit.var)
+    return tuple(int(lit.negated) for lit in xlits)
+
+
+@lru_cache(maxsize=1)  # rejecting_instance reads it once per y
+def _zeroable_entries(
+    graph: ConstraintGraph, formula: CnfFormula, part: VariablePartition
+) -> tuple[tuple[int, tuple[Literal, ...]], ...]:
+    """Per clause, the position of its falsifying entry and its Y-literals."""
+    if graph.m != formula.m:
+        raise ValueError("graph and formula disagree on the constraint count")
+    reads = build_constraint_graph(formula, part).constraints
+    out = []
+    for i, clause in enumerate(formula.clauses):
+        alpha = falsifying_entry(clause, part)
+        if graph.constraints[i] != reads[i]:
+            raise ValueError(f"constraint {i + 1} must read its clause's X-variables")
+        out.append((graph.position(i, alpha), clause.side_literals(part.yset)))
+    return tuple(out)
+
+
 def rejecting_instance(
     graph: ConstraintGraph,
     formula: CnfFormula,
     part: VariablePartition,
     y: Assignment,
 ) -> CspSatInstance:
-    """Entry (i, alpha) is 0 iff clause i is falsified by alpha joined with y."""
+    """Entry (i, alpha) is 0 iff alpha is clause i's falsifying entry and y
+    falsifies its Y-literals: y's bit of each equals the literal's negation.
+    """
     if not part.yset <= y.scope:
         raise ScopeError("y must assign every Y-side variable")
-    if graph.m != formula.m:
-        raise ValueError("graph and formula disagree on the constraint count")
     bits = full_mask(graph.size)
-    for i, vs in enumerate(graph.constraints):
-        clause = formula.clauses[i]
-        for rank, alpha in enumerate(itertools.product((0, 1), repeat=len(vs))):
-            joint = Assignment.from_map(
-                {**{v: a for v, a in zip(vs, alpha)}, **{v: y.bit(v) for v in part.yvars}}
-            )
-            if not eval_clause(clause, joint):
-                bits &= ~(1 << (graph.offsets[i] + rank))
+    ybits = y.as_map()
+    for pos, ylits in _zeroable_entries(graph, formula, part):
+        if all(ybits[lit.var] == lit.negated for lit in ylits):
+            bits &= ~(1 << pos)
     return CspSatInstance(graph, bits)
 
 
@@ -181,27 +203,22 @@ def csp_sat_eval(graph: ConstraintGraph, inst: CspSatInstance) -> bool:
     return descend(0)
 
 
-def all_x_covered(graph: ConstraintGraph) -> bool:
-    """Accepting instances are pairwise distinct iff this holds."""
-    used = set()
-    for vs in graph.constraints:
-        used.update(vs)
-    return used == set(graph.xvars)
-
-
 def rejecting_images_distinct(
     graph: ConstraintGraph, formula: CnfFormula, part: VariablePartition
 ) -> bool:
-    """Whether y -> rejecting instance is injective, by enumeration."""
+    """Whether y -> rejecting instance is injective. V(y) zeroes the entries
+    of the clauses whose Y-literals y falsifies, so it is whether those
+    Y-literals, on Y renumbered 1..n2, give distinct y distinct profiles.
+    """
     if part.n2 > EVAL_CAP:
         raise CapExceededError(f"2^{part.n2} rejecting instances exceed cap {EVAL_CAP}")
-    seen = set()
-    for y_idx in range(1 << part.n2):
-        inst = rejecting_instance(graph, formula, part, part.y_assignment(y_idx))
-        if inst.bits in seen:
-            return False
-        seen.add(inst.bits)
-    return True
+    renumber = {v: p for p, v in enumerate(part.yvars, start=1)}
+    halves = tuple(
+        Clause(tuple(Literal(renumber[lit.var], lit.negated) for lit in ylits))
+        for _, ylits in _zeroable_entries(graph, formula, part)
+        if ylits
+    )
+    return profile_distinctness(CnfFormula(part.n2, halves)).distinct
 
 
 @dataclass(frozen=True)
@@ -240,39 +257,26 @@ def agreement_count(
     if r == 0:
         return AgreementCount(r, b, len(vectors), mode)
 
-    def count_for(mask: int) -> int:
-        if b == 1:
-            return sum(1 for v in vectors if v & mask == mask)
-        return sum(1 for v in vectors if v & mask == 0)
+    def best(combos: Iterable[Iterable[int]]) -> int:
+        """The most instances agreeing with b on one combo's positions."""
+        top = 0
+        for combo in combos:
+            mask = sum(1 << p for p in combo)
+            top = max(top, sum(1 for v in vectors if v & mask == (mask if b else 0)))
+        return top
 
     if mode == "exact":
         if r > EXACT_R_CAP:
             raise CapExceededError(
                 f"exact agreement counting is capped at r <= {EXACT_R_CAP}"
             )
-        best = 0
-        for combo in itertools.combinations(range(n), r):
-            mask = 0
-            for p in combo:
-                mask |= 1 << p
-            c = count_for(mask)
-            if c > best:
-                best = c
-        return AgreementCount(r, b, best, "exact")
+        return AgreementCount(r, b, best(itertools.combinations(range(n), r)), "exact")
     if mode == "sampled":
         if not trials or trials < 1:
             raise ValueError("sampled mode needs a positive trial count")
         rng = random.Random(seed)
-        best = 0
-        for _ in range(trials):
-            combo = rng.sample(range(n), r)
-            mask = 0
-            for p in combo:
-                mask |= 1 << p
-            c = count_for(mask)
-            if c > best:
-                best = c
-        return AgreementCount(r, b, best, "sampled", trials)
+        combos = (rng.sample(range(n), r) for _ in range(trials))
+        return AgreementCount(r, b, best(combos), "sampled", trials)
     raise ValueError(f"unknown mode {mode!r}")
 
 

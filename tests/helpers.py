@@ -752,3 +752,51 @@ def plain_walk_oracle(lines, formula: CnfFormula, part):
         size_bound=len(lines) * (1 << (3 * kmax)),
     )
     return circuit, tuple(entries), report, tuple(records)
+
+
+def all_x_covered(graph) -> bool:
+    """Accepting instances are pairwise distinct iff this holds."""
+    used = set()
+    for vs in graph.constraints:
+        used.update(vs)
+    return used == set(graph.xvars)
+
+
+def rejecting_instance_oracle(graph, formula: CnfFormula, part, y: Assignment):
+    """Entry (i, alpha) is 0 iff clause i is falsified by alpha joined with y,
+    each entry checked on its joint assignment.
+    """
+    from proofbench.bitops import full_mask
+    from proofbench.cnf import eval_clause
+    from proofbench.cspsat import CspSatInstance
+    from proofbench.errors import ScopeError
+
+    if not part.yset <= y.scope:
+        raise ScopeError("y must assign every Y-side variable")
+    if graph.m != formula.m:
+        raise ValueError("graph and formula disagree on the constraint count")
+    bits = full_mask(graph.size)
+    for i, vs in enumerate(graph.constraints):
+        clause = formula.clauses[i]
+        for rank, alpha in enumerate(product((0, 1), repeat=len(vs))):
+            joint = Assignment.from_map(
+                {**{v: a for v, a in zip(vs, alpha)}, **{v: y.bit(v) for v in part.yvars}}
+            )
+            if not eval_clause(clause, joint):
+                bits &= ~(1 << (graph.offsets[i] + rank))
+    return CspSatInstance(graph, bits)
+
+
+def rejecting_images_distinct_oracle(graph, formula: CnfFormula, part) -> bool:
+    """Whether y -> rejecting instance is injective, by enumeration."""
+    from proofbench.cspsat import EVAL_CAP
+
+    if part.n2 > EVAL_CAP:
+        raise CapExceededError(f"2^{part.n2} rejecting instances exceed cap {EVAL_CAP}")
+    seen = set()
+    for y_idx in range(1 << part.n2):
+        inst = rejecting_instance_oracle(graph, formula, part, part.y_assignment(y_idx))
+        if inst.bits in seen:
+            return False
+        seen.add(inst.bits)
+    return True

@@ -4,10 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    all_x_covered,
     count_satisfying,
     random_formula,
+    rejecting_images_distinct_oracle,
+    rejecting_instance_oracle,
     separator_bound_oracle,
 )
 from proofbench.cnf import (
@@ -19,11 +24,11 @@ from proofbench.cnf import (
     parse_dimacs,
 )
 from proofbench.cspsat import (
+    EVAL_CAP,
     ConstraintGraph,
     CspSatInstance,
     accepting_instance,
     agreement_count,
-    all_x_covered,
     build_constraint_graph,
     circuit_size_lower_bound,
     csp_sat_eval,
@@ -32,6 +37,7 @@ from proofbench.cspsat import (
 )
 from proofbench.errors import CapExceededError, ScopeError
 from proofbench.randomcnf import (
+    EXACT_CAP,
     DistributionParams,
     profile_distinctness,
     sample_tensor,
@@ -54,6 +60,24 @@ def csp_batch():
         yield f, VariablePartition(
             tuple(range(1, half + 1)), tuple(range(half + 1, n + 1))
         )
+
+
+@st.composite
+def split_formulas(draw):
+    """A formula drawn from a pool of clauses, repeats allowed, on a
+    partition with its sides in any order; either side may be empty.
+    """
+    n = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(1, n + 1)))
+    cut = draw(st.integers(0, n))
+    part = VariablePartition(tuple(order[:cut]), tuple(order[cut:]))
+    pool = []
+    for _ in range(draw(st.integers(1, 5))):
+        vs = sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=min(n, 4))))
+        signs = draw(st.lists(st.booleans(), min_size=len(vs), max_size=len(vs)))
+        pool.append(Clause(tuple(Literal(v, neg) for v, neg in zip(vs, signs))))
+    clauses = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    return CnfFormula(n, tuple(clauses)), part
 
 
 def complete_setup():
@@ -126,12 +150,20 @@ class TestGraph:
                 seen.add(g.position(i, alpha))
         assert seen == set(range(g.size))
 
-    @pytest.mark.parametrize("alpha", [(0, 0), (2,)], ids=["length", "bit-2"])
-    def test_position_rejects_non_assignment(self, alpha):
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            ((0, 0), "assignment length does not match the constraint"),
+            ((2,), "assignment bit 2 is not 0 or 1"),
+        ],
+        ids=["length", "bit-2"],
+    )
+    def test_position_rejects_non_assignment(self, alpha, message):
         _, _, g = complete_setup()
         with pytest.raises(ValueError) as info:
             g.position(0, alpha)
         assert info.type is ValueError
+        assert str(info.value) == message
 
 
 class TestInstances:
@@ -254,7 +286,7 @@ class TestEval:
             low = high & rng.getrandbits(g.size)
             a = CspSatInstance(g, low)
             b = CspSatInstance(g, high)
-            assert a.leq(b)
+            assert low & ~high == 0
             assert csp_sat_eval(g, a) <= csp_sat_eval(g, b)
 
     def test_cap(self):
@@ -262,6 +294,140 @@ class TestEval:
         inst = CspSatInstance(g, 3)
         with pytest.raises(CapExceededError):
             csp_sat_eval(g, inst)
+
+
+class TestRejectingMatchesOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(split_formulas())
+    def test_instances_and_injectivity(self, case):
+        f, part = case
+        g = build_constraint_graph(f, part)
+        for i in range(1 << part.n2):
+            y = part.y_assignment(i)
+            expected = rejecting_instance_oracle(g, f, part, y)
+            assert rejecting_instance(g, f, part, y) == expected
+        expected = rejecting_images_distinct_oracle(g, f, part)
+        assert rejecting_images_distinct(g, f, part) == expected
+
+    def test_injectivity_builds_no_instance(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return CspSatInstance(*args)
+
+        monkeypatch.setattr("proofbench.cspsat.CspSatInstance", counted)
+        f, part, g = complete_setup()
+        assert rejecting_images_distinct(g, f, part) is True
+        assert built == []
+        rejecting_instance(g, f, part, Assignment.from_map({2: 0}))
+        assert len(built) == 1  # the counter sees the builder's instance
+
+    def test_injectivity_fits_the_exact_profiles(self):
+        # rejecting_images_distinct runs exact profiles on n2 <= EVAL_CAP
+        assert EVAL_CAP <= EXACT_CAP
+
+
+MISREAD_GRAPHS = {
+    # constraint 2 leaves out x1, the X-variable of its clause 1 v -2
+    "missing": (COMPLETE_2CNF, ((1,), (2,)), ((1,), ((1,), (), (1,), (1,))), 2),
+    # constraint 1 reads x3 too, which its clause 1 v 2 does not mention
+    "extra": ("p cnf 3 1\n1 2 0\n", ((1, 3), (2,)), ((1, 3), ((1, 3),)), 1),
+}
+
+
+@pytest.mark.parametrize("fn", ["instance", "distinct"])
+class TestRejectingChecks:
+    @staticmethod
+    def run(fn, graph, f, part):
+        if fn == "instance":
+            y = part.y_assignment(0)
+            return rejecting_instance(graph, f, part, y)
+        return rejecting_images_distinct(graph, f, part)
+
+    @pytest.mark.parametrize("case", MISREAD_GRAPHS.values(), ids=MISREAD_GRAPHS)
+    def test_graph_must_read_each_clauses_x_variables(self, fn, case):
+        text, sides, (xvars, constraints), i = case
+        part = VariablePartition(*sides)
+        with pytest.raises(ValueError) as info:
+            self.run(fn, ConstraintGraph(xvars, constraints), parse_dimacs(text), part)
+        assert str(info.value) == f"constraint {i} must read its clause's X-variables"
+
+    def test_clause_variable_outside_the_partition(self, fn):
+        f = CnfFormula(3, (Clause.from_signed([1, 3]),))
+        part = VariablePartition((1,), (2,))
+        with pytest.raises(ScopeError) as info:
+            self.run(fn, build_constraint_graph(f, part), f, part)
+        assert str(info.value) == "clause variable 3 is outside the partition"
+
+    def test_constraint_count(self, fn):
+        f, part, g = complete_setup()
+        with pytest.raises(ValueError) as info:
+            self.run(fn, g, CnfFormula(2, f.clauses[:3]), part)
+        assert str(info.value) == "graph and formula disagree on the constraint count"
+
+
+def _two_topologies():
+    _, _, g = complete_setup()
+    other = ConstraintGraph((1,), ((1,),))
+    return [CspSatInstance(g, 0), CspSatInstance(other, 0)]
+
+
+def _complete_instance():
+    return CspSatInstance(complete_setup()[2], 0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ConstraintGraph((1, 1), ()), "CSP variables must be distinct"),
+        (
+            lambda: ConstraintGraph((1, 2), ((1,), (2, 1))),
+            "constraint 2 variables must be ascending",
+        ),
+        (
+            lambda: ConstraintGraph((1,), ((1, 2),)),
+            "constraint 1 mentions unknown variables",
+        ),
+        (
+            lambda: CspSatInstance(complete_setup()[2], 1 << 8),
+            "bit vector out of range for this topology",
+        ),
+        (
+            lambda: csp_sat_eval(
+                ConstraintGraph((1,), ((1,),)), _complete_instance()
+            ),
+            "instance was built for a different topology",
+        ),
+        (lambda: agreement_count([], 1, 1), "need at least one instance"),
+        (lambda: agreement_count([_complete_instance()], 1, 2), "b must be 0 or 1"),
+        (
+            lambda: agreement_count(_two_topologies(), 1, 1),
+            "instances must share a topology",
+        ),
+        (
+            lambda: agreement_count([_complete_instance()], 9, 1),
+            "r=9 out of range for N=8",
+        ),
+        (
+            lambda: agreement_count([_complete_instance()], 1, 1, mode="sampled"),
+            "sampled mode needs a positive trial count",
+        ),
+        (
+            lambda: agreement_count([_complete_instance()], 1, 1, mode="fast"),
+            "unknown mode 'fast'",
+        ),
+    ],
+    ids=[
+        "graph-repeats", "graph-descending", "graph-unknown", "instance-range",
+        "eval-topology", "agreement-empty", "agreement-b", "agreement-topology",
+        "agreement-r", "agreement-trials", "agreement-mode",
+    ],
+)
+def test_rejects_with_message(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 class TestInjectivityDiagnostics:
@@ -385,9 +551,12 @@ class TestSizeLowerBound:
             assert got == Fraction(num, den)
 
     def test_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             circuit_size_lower_bound(2, 2, 1, 0, 1, 1, 1)
-        with pytest.raises(ValueError):
+        assert str(info.value) == "agreement counts in denominators must be nonzero"
+        with pytest.raises(ValueError) as info:
             circuit_size_lower_bound(2, 2, 1, 1, 1, 0, 1)
-        with pytest.raises(ValueError):
+        assert str(info.value) == "r and s must be at least 1"
+        with pytest.raises(ValueError) as info:
             circuit_size_lower_bound(-1, 2, 1, 1, 1, 1, 1)
+        assert str(info.value) == "sizes and counts must be nonnegative"
