@@ -145,29 +145,6 @@ def eval_circuit(circuit: MonotoneCircuit, inst: CspSatInstance) -> int:
 # --- bit-parallel evaluation on every U(x) and V(y) ---------------------------
 
 
-def _check_inputs(
-    circuit: MonotoneCircuit, formula: CnfFormula, part: VariablePartition
-) -> None:
-    """Every input gate must name an entry of the truth-table layout."""
-    m = formula.m
-    for g, gate in enumerate(circuit.gates):
-        if not isinstance(gate, InputGate):
-            continue
-        if not 1 <= gate.constraint <= m:
-            raise ValueError(
-                f"gate {g}: input gate constraint {gate.constraint} outside "
-                f"the layout (1..{m})"
-            )
-        width = len(formula.clauses[gate.constraint - 1].vars & part.xset)
-        if len(gate.alpha) != width:
-            raise ValueError(
-                f"gate {g}: alpha has {len(gate.alpha)} bits, constraint "
-                f"{gate.constraint} reads {width} variables"
-            )
-        if any(b not in (0, 1) for b in gate.alpha):
-            raise ValueError(f"gate {g}: alpha bits must be 0 or 1")
-
-
 def side_values(
     circuit: MonotoneCircuit, formula: CnfFormula, part: VariablePartition
 ) -> tuple[list[int], list[int]]:
@@ -180,19 +157,31 @@ def side_values(
     clause i's X-variables in ascending order, a subcube of x, and accepts
     V(y) iff alpha satisfies one of clause i's X-literals or y one of its
     Y-literals. Raises ``ScopeError`` for a clause variable outside the
-    partition and ``ValueError`` for an input gate outside the layout, both
-    before evaluating anything.
+    partition before evaluating any gate, and ``ValueError`` at the first
+    input gate outside the layout.
     """
     check_side_cap(part)
     clause_masks = [falsifying_mask(c.literals, part) for c in formula.clauses]
-    _check_inputs(circuit, formula, part)
+    m = formula.m
     xfull = full_mask(1 << part.n1)
     yfull = full_mask(1 << part.n2)
     val_u: list[int] = []
     val_v: list[int] = []
-    for gate in circuit.gates:
+    for g, gate in enumerate(circuit.gates):
         if isinstance(gate, InputGate):
+            if not 1 <= gate.constraint <= m:
+                raise ValueError(
+                    f"gate {g}: input gate constraint {gate.constraint} outside "
+                    f"the layout (1..{m})"
+                )
             xvars = sorted(formula.clauses[gate.constraint - 1].vars & part.xset)
+            if len(gate.alpha) != len(xvars):
+                raise ValueError(
+                    f"gate {g}: alpha has {len(gate.alpha)} bits, constraint "
+                    f"{gate.constraint} reads {len(xvars)} variables"
+                )
+            if any(b not in (0, 1) for b in gate.alpha):
+                raise ValueError(f"gate {g}: alpha bits must be 0 or 1")
             vu, _ = falsifying_mask(
                 (Literal(v, bool(a)) for v, a in zip(xvars, gate.alpha)), part
             )
@@ -373,20 +362,13 @@ def compile_cc_refutation(
     check_side_cap(part)
     _validate_refutation(lines, formula, part)
 
-    good_per_line: list[list[tuple[int, str, int, int]]] = []
-    for i, ln in enumerate(lines):
-        good = good_leaves(ln.tree, ln.table)
-        if good is None:
-            raise SoundnessError(f"line {i}: protocol tree disagrees with the table")
-        good_per_line.append(good)
-
     builder = CircuitBuilder()
     gate_or, gate_and = builder.gate_or, builder.gate_and
     built: list[dict[int, int]] = []  # per line, good leaf -> gate
     entries: list[CompiledLineCircuit] = []
-    # (g, k) -> memo of line k's tree walked with every leaf g, whatever the
-    # masks; shared by all lines
-    filled: dict[tuple[int, int], dict[tuple[int, int, int], int]] = {}
+    # (g, k) -> root gate of line k's tree walked with every leaf g, whatever
+    # the masks; shared by all lines
+    filled: dict[tuple[int, int], int] = {}
 
     def walk(
         tree: ProtocolTree, memo: dict, at_leaf: Callable, v: int, xm: int, ym: int
@@ -415,24 +397,24 @@ def compile_cc_refutation(
                 gate = memo[key] = gate_and(g0, g1)
         return gate
 
-    def build_axiom(i: int, ln: CcLine) -> dict[int, int]:
+    def build_axiom(i: int, ln: CcLine, good: list) -> dict[int, int]:
         # The line's table is its clause's (checked above), so a nonempty good
         # rectangle holds only x falsifying the clause's X-literals: x read on
         # them is the clause's falsifying entry. Empty good histories are not
         # materialized (constants serve them later).
         alpha = falsifying_entry(formula.clauses[ln.axiom - 1], part)
         out = {}
-        for leaf, h, xm, ym in good_per_line[i]:
+        for leaf, h, xm, ym in good:
             if xm and ym:
                 out[leaf] = gate = builder.input_gate(ln.axiom, alpha)
                 entries.append(CompiledLineCircuit(i, h, gate))
         return out
 
-    def build_derived(i: int, ln: CcLine) -> dict[int, int]:
+    def build_derived(i: int, ln: CcLine, good: list) -> dict[int, int]:
         # The stacked tree plays premise j's tree, then premise k's below
         # each of its leaves. Below a gate g of line j every stacked leaf
         # returns g, whatever the masks, so that walk has no masks and its
-        # memo is filled[g, k]. Below any other leaf of j the stacked
+        # root gate is filled[g, k]. Below any other leaf of j the stacked
         # leaves do not depend on that leaf, so those walks share memo_k.
         j, k = ln.premises
         tj, tk = lines[j].tree, lines[k].tree
@@ -443,10 +425,11 @@ def compile_cc_refutation(
         def at_j(leaf_j: int, xm: int, ym: int) -> int:
             g = built_j.get(leaf_j)
             if g is not None:
-                memo = filled.get((g, k))
-                if memo is None:
-                    memo = filled[g, k] = {}
-                return walk(tk, memo, lambda *_: g, 1, 0, 0)
+                gate = filled.get((g, k))
+                if gate is None:
+                    # from the root each node is reached once: no memo hits
+                    gate = filled[g, k] = walk(tk, {}, lambda *_: g, 1, 0, 0)
+                return gate
 
             def at_k(leaf: int, xm: int, ym: int) -> int:
                 gate = built_k.get(leaf)
@@ -468,13 +451,17 @@ def compile_cc_refutation(
             return walk(tk, memo_k, at_k, 1, xm, ym)
 
         out = {}
-        for leaf, h, xm, ym in good_per_line[i]:
+        for leaf, h, xm, ym in good:
             out[leaf] = gate = walk(tj, memo_j, at_j, 1, xm, ym)
             entries.append(CompiledLineCircuit(i, h, gate))
         return out
 
     for i, ln in enumerate(lines):
-        built.append(build_axiom(i, ln) if ln.axiom is not None else build_derived(i, ln))
+        good = good_leaves(ln.tree, ln.table)
+        if good is None:
+            raise SoundnessError(f"line {i}: protocol tree disagrees with the table")
+        build = build_axiom if ln.axiom is not None else build_derived
+        built.append(build(i, ln, good))
 
     final = built[-1].get(0)
     if final is None:

@@ -75,8 +75,9 @@ def parse_circuit(text: str) -> MonotoneCircuit:
                 gate: Gate = _BINARY[kind](int(left[1:]), int(right[1:]))
             except ValueError:
                 # Re-read the references one at a time for the precise error.
-                refs = _gate_ref(left, line_no), _gate_ref(right, line_no)
-                gate = _BINARY[kind](*refs)
+                gate = _BINARY[kind](
+                    _gate_ref(left, line_no), _gate_ref(right, line_no)
+                )
         elif kind == "in" and len(tokens) == 5:
             try:
                 constraint = int(tokens[3])

@@ -19,7 +19,7 @@ from .bitops import full_mask, iter_bits, value_masks
 from .cnf import Assignment, Clause, Literal, VariablePartition
 from .errors import CapExceededError
 from .linear import LinearInequality
-from .semantics import SemanticLine, check_table_cap, falsifying_mask, rectangle_bits
+from .semantics import SemanticLine, check_table_cap, falsifying_mask
 
 ALICE = "alice"
 BOB = "bob"
@@ -245,11 +245,13 @@ def materialize_rectangle(tree: ProtocolTree, history: str) -> Rectangle:
 def good_from_masks(
     masks: dict[str, tuple[int, int]], line: SemanticLine
 ) -> list[str]:
-    """Good histories given precomputed full-history masks."""
+    """Good histories given precomputed full-history masks: no row class
+    meeting a history's x mask has a one on its y mask.
+    """
     return [
         h
-        for h in sorted(masks)
-        if line.bits & rectangle_bits(*masks[h], line.n2) == 0
+        for h, (xm, ym) in sorted(masks.items())
+        if not any(cx & xm and row & ym for cx, row in line.rows)
     ]
 
 

@@ -36,10 +36,9 @@ from .semantics import check_scope
 
 # Exact profiles and exact heavy-sat enumerate at most 2^EXACT_CAP assignments.
 EXACT_CAP = 20
-# The expansion report exhausts clause-set sizes up to EXPANSION_EXACT_UP_TO
-# (sizes 1 and 2 each have their own branch), each in at most
-# EXPANSION_BUDGET subsets, and samples larger sizes.
-EXPANSION_EXACT_UP_TO = 2
+# The expansion report is exact at clause-set sizes 1 and 2 and samples
+# larger sizes. EXPANSION_BUDGET caps C(m, s) at an exact size s, the cost
+# bound of size 2's occurrence-list pair search.
 EXPANSION_BUDGET = 20_000_000
 
 
@@ -223,10 +222,10 @@ def expansion_report(
     allow_beyond_regime: bool = False,
 ) -> ExpansionReport:
     """Minimum variable coverage of clause subsets of each size s <= s_max,
-    against the threshold (1 - epsilon) * d * s. Sizes up to
-    ``EXPANSION_EXACT_UP_TO`` are exact, larger ones sampled. Size 2 is exact
-    without visiting every pair: only pairs that share a variable, found
-    through occurrence lists, can cover fewer than their widths' sum.
+    against the threshold (1 - epsilon) * d * s. Sizes 1 and 2 are exact,
+    larger ones sampled. Size 2 is exact without visiting every pair: only
+    pairs that share a variable, found through occurrence lists, can cover
+    fewer than their widths' sum.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
@@ -245,13 +244,13 @@ def expansion_report(
         )
     var_sets = [c.vars for c in formula.clauses]
     m = len(var_sets)
-    if trials < 1 and min(s_max, m) > EXPANSION_EXACT_UP_TO:
+    if trials < 1 and min(s_max, m) > 2:
         raise ValueError("sampled sizes need trials to be at least 1")
     var_masks = [sum(1 << v for v in vs) for vs in var_sets]
     rows = []
     for s in range(1, min(s_max, m) + 1):
         threshold = (1 - epsilon) * d * s
-        if s <= EXPANSION_EXACT_UP_TO:
+        if s <= 2:
             if math.comb(m, s) > EXPANSION_BUDGET:
                 raise CapExceededError(
                     f"exact mode for size {s} needs {math.comb(m, s)} subsets"

@@ -55,7 +55,12 @@ from proofbench.cspsat import (
     build_constraint_graph,
     rejecting_instance,
 )
-from proofbench.errors import CapExceededError, CircuitTextError, SoundnessError
+from proofbench.errors import (
+    CapExceededError,
+    CircuitTextError,
+    ScopeError,
+    SoundnessError,
+)
 from proofbench.gates import AndGate, ConstGate, InputGate, MonotoneCircuit, OrGate
 from proofbench.linear import LinearInequality
 from proofbench.protocol import (
@@ -287,6 +292,15 @@ def _with_cc_line(cc, index, line):
 
 
 class TestCompilePreconditions:
+    @pytest.mark.parametrize(
+        "derivation", [{}, {"axiom": 1, "premises": (0, 0)}], ids=["neither", "both"]
+    )
+    def test_cc_line_is_axiom_xor_derived(self, derivation):
+        _, _, cc, _ = compile_complete()
+        with pytest.raises(ValueError) as info:
+            CcLine(cc[0].table, cc[0].tree, **derivation)
+        assert str(info.value) == "a line is either an axiom or derived, never both"
+
     def test_tampered_table_rejected(self):
         f, part, cc, _ = compile_complete()
         bad = list(cc)
@@ -448,8 +462,14 @@ class TestCpProofCompilation:
                 formula_to_system(parse_dimacs(CONTRADICTION)),
                 (ProofLine(LinearInequality((1,), 1), Hypothesis(1)),),
             ), "the proof never reaches a refutation terminal"),
+            (CpProof(formula_to_system(parse_dimacs(CONTRADICTION))[::-1], ()),
+             "system row 1 is not the encoding of clause 1"),
+            (CpProof(
+                formula_to_system(parse_dimacs(CONTRADICTION)),
+                (ProofLine(LinearInequality((0,), 1), "rup"),),
+            ), "unknown justification 'rup'"),
         ],
-        ids=["system-size", "no-terminal"],
+        ids=["system-size", "no-terminal", "system-row", "unknown-justification"],
     )
     def test_proof_shape_rejected(self, proof, message):
         f = parse_dimacs(CONTRADICTION)
@@ -664,11 +684,16 @@ class TestSideValues:
 
 class TestInputLayout:
     @pytest.mark.parametrize(
-        "gate",
-        [InputGate(0, (1,)), InputGate(5, (0,)), InputGate(1, (0, 1)), InputGate(1, (2,))],
+        "gate, message",
+        [
+            (InputGate(0, (1,)), "input gate constraint 0 outside the layout (1..4)"),
+            (InputGate(5, (0,)), "input gate constraint 5 outside the layout (1..4)"),
+            (InputGate(1, (0, 1)), "alpha has 2 bits, constraint 1 reads 1 variables"),
+            (InputGate(1, (2,)), "alpha bits must be 0 or 1"),
+        ],
         ids=["constraint-0", "constraint-m+1", "alpha-length", "alpha-bit-2"],
     )
-    def test_rejected_before_evaluation(self, gate):
+    def test_rejected_before_evaluation(self, gate, message):
         f = parse_dimacs(COMPLETE_2CNF)
         part = VariablePartition((1,), (2,))
         circuit = MonotoneCircuit((ConstGate(1), gate, AndGate(0, 1)), 2)
@@ -680,6 +705,37 @@ class TestInputLayout:
             with pytest.raises(ValueError, match="gate 1") as info:
                 run()
             assert info.type is ValueError
+            assert str(info.value) == f"gate 1: {message}"
+
+    def test_first_bad_gate_in_gate_order_is_named(self):
+        f = parse_dimacs(COMPLETE_2CNF)
+        part = VariablePartition((1,), (2,))
+        gates = (InputGate(1, (0,)), ConstGate(1), InputGate(1, (2,)), InputGate(9, ()))
+        with pytest.raises(ValueError) as info:
+            side_values(MonotoneCircuit(gates, 3), f, part)
+        assert str(info.value) == "gate 2: alpha bits must be 0 or 1"
+
+    def test_scope_error_comes_before_any_gate(self):
+        f = parse_dimacs("p cnf 3 1\n1 3 0\n")
+        part = VariablePartition((1,), (2,))
+        circuit = MonotoneCircuit((InputGate(9, ()),), 0)
+        with pytest.raises(ScopeError) as info:
+            side_values(circuit, f, part)
+        assert str(info.value) == "clause variable 3 is outside the partition"
+
+    @pytest.mark.parametrize("constraint", [0, 5])
+    def test_eval_gates_rejects_outside_the_layout(self, constraint):
+        f = parse_dimacs(COMPLETE_2CNF)
+        part = VariablePartition((1,), (2,))
+        inst = accepting_instance(
+            build_constraint_graph(f, part), Assignment.from_map({1: 0})
+        )
+        circuit = MonotoneCircuit((ConstGate(1), InputGate(constraint, ())), 1)
+        with pytest.raises(ValueError) as info:
+            eval_gates(circuit, inst)
+        assert str(info.value) == (
+            f"input gate constraint {constraint} outside the layout"
+        )
 
 
 class TestExtraction:
@@ -886,6 +942,12 @@ class TestCircuitText:
         text = serialize_circuit(circuit)
         assert "in 3 -" in text
         assert parse_circuit(text) == circuit
+
+    def test_comments_blank_lines_and_tight_equals(self):
+        text = "# a comment\n\ng0=const0\n  \ng1 = or g0 g0\noutput g1\n"
+        assert parse_circuit(text) == MonotoneCircuit(
+            (ConstGate(0), OrGate(0, 0)), 1
+        )
 
     def test_parse_errors(self):
         with pytest.raises(CircuitTextError):

@@ -795,10 +795,15 @@ class TestErrors:
             ("g0 = const0\noutput g1\n", "line 1: output gate index out of range"),
             ("g0 = const0\ng1 = or g0 g1\noutput g1\n",
              "line 1: gate 1 references a later gate"),
+            ("gx = const0\noutput g0\n", "line 1: bad gate reference 'gx'"),
+            ("g0 = const0\ng1 = and g0 0\noutput g1\n",
+             "line 2: expected a gate reference, got '0'"),
+            ("g0 = const0\ng1 = and g0 gy\noutput g1\n",
+             "line 2: bad gate reference 'gy'"),
         ],
         ids=["output-arity", "output-not-g", "output-bad-ref", "no-equals",
              "head-not-g", "gate-index", "constraint", "alpha", "output-range",
-             "later-gate"],
+             "later-gate", "head-bad-ref", "operand-not-g", "operand-bad-ref"],
     )
     def test_malformed_circuit_exits_2(
         self, complete2, tmp_path, capsys, text, message

@@ -157,6 +157,11 @@ class TestEvalAndEncoding:
         ineq = clause_to_inequality(Clause.from_signed([-1, -2]), 2)
         assert ineq.coeffs == (-1, -1) and ineq.constant == -1
 
+    def test_encoding_past_n(self):
+        with pytest.raises(ValueError) as info:
+            clause_to_inequality(Clause.from_signed([1, -3]), 2)
+        assert str(info.value) == "clause variable 3 > n=2"
+
     @settings(max_examples=80)
     @given(formulas(max_n=8, max_m=3, max_width=8))
     def test_clause_iff_inequality(self, f):
@@ -415,3 +420,8 @@ class TestStructures:
         f = complete_2cnf()
         assert f.density == 2
         assert f.width == 2
+
+    def test_density_needs_variables(self):
+        with pytest.raises(ValueError) as info:
+            parse_dimacs("p cnf 0 0\n").density
+        assert str(info.value) == "density undefined for a formula with no variables"

@@ -19,6 +19,7 @@ from proofbench.cpproof import (
     CpProof,
     Division,
     Hypothesis,
+    LineVerdict,
     ProofLine,
     check_cp_proof,
     cp_lines_to_protocols,
@@ -136,6 +137,36 @@ class TestChecker:
         )
         report = check_cp_proof(proof)
         assert report.all_valid and report.is_refutation
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            (ProofLine(LinearInequality((1,), 1), Hypothesis(1)),
+             "inequality arity 1 != n=2"),
+            (ProofLine(LinearInequality((1, 1), 1), Hypothesis(2)),
+             "hypothesis row 2 out of range"),
+            (ProofLine(LinearInequality((1, 0), 0), BooleanAxiom(3, "lo")),
+             "axiom variable 3 out of range"),
+            (ProofLine(LinearInequality((1, 0), 0), BooleanAxiom(1, "mid")),
+             "unknown axiom kind 'mid'"),
+            (ProofLine(LinearInequality((1, 1), 1), Division(1, 0)),
+             "divisor 0 is not positive"),
+            (ProofLine(LinearInequality((1, 1), 1), "rup"),
+             "unknown justification 'rup'"),
+        ],
+        ids=["arity", "hypothesis-row", "axiom-var", "axiom-kind", "divisor",
+             "justification"],
+    )
+    def test_rejection_reasons(self, line, reason):
+        system = (LinearInequality((1, 1), 1),)
+        first = ProofLine(LinearInequality((1, 1), 1), Hypothesis(1))
+        report = check_cp_proof(CpProof(system, (first, line)))
+        assert report.verdicts == (LineVerdict(1, True), LineVerdict(2, False, reason))
+
+    def test_arity_without_a_system(self):
+        lines = contradiction_proof().lines
+        assert CpProof((), lines).n == 1
+        assert CpProof((), ()).n == 0
 
     def test_division_by_one_is_legal(self):
         system = (LinearInequality((3,), 2),)
@@ -453,6 +484,44 @@ class TestProofText:
     def test_wrong_arity(self):
         with pytest.raises(ProofTextError, match="coefficients"):
             parse_cp_lines("1: 1 1 >= 1 ; hyp 1\n", 1)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1: 1 >= 1 hyp 1\n", "line 1: missing ';' before the justification"),
+            ("# c\nx: 1 >= 1 ; hyp 1\n", "line 2: bad line index 'x'"),
+            ("1: a >= 1 ; hyp 1\n", "line 1: coefficients must be integers"),
+            ("1: 1 >= b ; hyp 1\n", "line 1: coefficients must be integers"),
+        ],
+        ids=["no-semicolon", "line-index", "coefficient", "constant"],
+    )
+    def test_rejected_with_message(self, text, message):
+        with pytest.raises(ProofTextError) as info:
+            parse_cp_lines(text, 1)
+        assert str(info.value) == message
+
+    def test_comment_and_blank_lines_skipped(self):
+        text = "# a comment\n\n1: 1 >= 1 ; hyp 1\n  # indented\n"
+        assert parse_cp_lines(text, 1) == contradiction_proof().lines[:1]
+
+    def test_roundtrip_boolean_and_division(self):
+        system = (LinearInequality((2, 2), 3),)
+        proof = CpProof(
+            system,
+            (
+                ProofLine(LinearInequality((2, 2), 3), Hypothesis(1)),
+                ProofLine(LinearInequality((1, 0), 0), BooleanAxiom(1, "lo")),
+                ProofLine(LinearInequality((0, -1), -1), BooleanAxiom(2, "hi")),
+                ProofLine(LinearInequality((1, 1), 2), Division(1, 2)),
+            ),
+        )
+        text = serialize_cp_lines(proof)
+        assert text == (
+            "1: 2 2 >= 3 ; hyp 1\n2: 1 0 >= 0 ; bool 1 lo\n"
+            "3: 0 -1 >= -1 ; bool 2 hi\n4: 1 1 >= 2 ; div 1 2\n"
+        )
+        assert parse_cp_lines(text, 2) == proof.lines
+        assert check_cp_proof(proof).all_valid
 
 
 class TestLineProtocols:
