@@ -712,6 +712,13 @@ class TestErrors:
             == 2
         )
 
+    def test_one_sided_partition_exits_2(self, complete2, capsys):
+        code = main(["roundtrip", "--cnf", str(complete2), "--partition", "x:1,2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "proofbench: error: explicit partitions need both x: and y: pieces\n"
+        )
+
     def test_malformed_cnf_exits_two(self, tmp_path):
         bad = tmp_path / "bad.cnf"
         bad.write_text("p cnf 1 1\n1 -1 0\n")

@@ -9,8 +9,8 @@ not follow subprocesses.
 Tracing slows the suite about threefold, so its wall-time gates can fail;
 reach is reported whatever the tests' verdicts are, and failed tests are
 only listed. The exit status is 1 when a statement outside the allowlist is
-unreached, else 0. Run it from the repository root, with any pytest
-arguments:
+unreached or an allowlist entry matches no unreached statement, else 0.
+Run it from the repository root, with any pytest arguments:
 
     python tools/reach.py [pytest arguments]
 """
@@ -135,6 +135,7 @@ def trace_suite(args: list[str]) -> tuple[dict[Path, set[int]], Verdicts]:
 def main(argv: list[str]) -> int:
     hits, verdicts = trace_suite(argv)
     allowed = {(module, text) for module, text, _ in ALLOWLIST}
+    used = set()
     total = raises = unreached = unreached_raises = allowed_count = 0
     report = []
     for path in sorted(hits):
@@ -147,7 +148,9 @@ def main(argv: list[str]) -> int:
             if hits[path].intersection(own):
                 continue
             text = text_of[lineno - 1].strip()
-            if (path.name, None) in allowed or (path.name, text) in allowed:
+            key = (path.name, None if (path.name, None) in allowed else text)
+            if key in allowed:
+                used.add(key)
                 allowed_count += 1
                 continue
             missed.append((lineno, text, is_raise))
@@ -164,11 +167,13 @@ def main(argv: list[str]) -> int:
         print(f"{count} tests failed under the tracer (reach counts them anyway):")
         print("\n".join(f"  {nodeid}" for nodeid in verdicts.failed))
     print("\n".join(report))
+    for module, text in sorted(allowed - used, key=str):
+        print(f"stale allowlist entry, nothing unreached matches: {module} {text!r}")
     print(
         f"unreached: {unreached} of {total} statements, {unreached_raises} of "
         f"{raises} raises ({allowed_count} more allowlisted)"
     )
-    return 1 if unreached else 0
+    return 1 if unreached or allowed != used else 0
 
 
 if __name__ == "__main__":
