@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import ast
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -122,13 +121,11 @@ def trace_suite(args: list[str]) -> tuple[dict[Path, set[int]], Verdicts]:
             return by_name[name]
 
     verdicts = Verdicts()
-    threading.settrace(tracer)
     sys.settrace(tracer)
     try:
         pytest.main(["-p", "no:cacheprovider", "-q", *args], plugins=[verdicts])
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     return hits, verdicts
 
 
