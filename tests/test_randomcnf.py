@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,7 +20,9 @@ from helpers import (
     sampled_min_union_oracle,
     sampled_profiles_oracle,
 )
+from proofbench.cli import main
 from proofbench.cnf import Clause, CnfFormula, Literal, VariablePartition, parse_dimacs
+from proofbench.cspsat import ConstraintGraph, CspSatInstance, agreement_count
 from proofbench.errors import CapExceededError, ScopeError
 from proofbench.randomcnf import (
     DistributionParams,
@@ -35,6 +39,77 @@ from proofbench.randomcnf import (
     sample_tensor,
     unsat_rate,
 )
+
+# Every output whose bytes rest on bounded and subset draws. Sampled expansion
+# sizes cover sample's pool branch (m <= 21 at s <= 5, m <= 85 at s = 6..8),
+# its set branch (m above those sizes) and the enlarged set size of s > 5;
+# the agreement counts cover N = 16, 48 and 128 positions at r = 3, 6 and
+# 12; gen writes formulas of both distributions.
+DRAWS_STATS = [
+    ["--n", "80", "--d", "3", "--m", "20", "--s-max", "3", "--trials", "7",
+     "--seed", "1"],
+    ["--n", "80", "--d", "3", "--m", "21", "--s-max", "3", "--trials", "400",
+     "--seed", "2"],
+    ["--n", "300", "--d", "6", "--m", "600", "--s-max", "3", "--trials", "40",
+     "--seed", "3"],
+    ["--n", "40", "--d", "3", "--m", "22", "--s-max", "5", "--trials", "9",
+     "--seed", "4", "--beyond-regime"],
+    ["--n", "40", "--d", "3", "--m", "60", "--s-max", "8", "--trials", "30",
+     "--seed", "5", "--beyond-regime"],
+    ["--n", "60", "--d", "2", "--m", "85", "--s-max", "6", "--trials", "25",
+     "--seed", "6", "--beyond-regime"],
+    ["--n", "60", "--d", "2", "--m", "86", "--s-max", "6", "--trials", "25",
+     "--seed", "7", "--beyond-regime"],
+    ["--n", "50", "--d", "3", "--m", "200", "--s-max", "12", "--trials", "20",
+     "--seed", "8", "--beyond-regime"],
+    ["--dist", "tensor", "--n", "30", "--d", "2", "--m", "40", "--s-max", "7",
+     "--trials", "15", "--seed", "9", "--beyond-regime"],
+]
+DRAWS_GEN = [
+    [*dist, "--n", n, "--d", d, "--m", m, "--seed", seed]
+    for dist in ([], ["--dist", "tensor"])
+    for n, d, m, seed in [("1", "1", "3", "0"), ("12", "3", "50", "1"),
+                          ("40", "5", "120", "2"), ("200", "12", "30", "3")]
+]
+DRAWS_DIGEST = "b3fd64774fa9edbffd6c939a9284410236656d1f93f302ac873eac7e50052799"
+
+
+def agreement_batch():
+    """Sampled agreement counts on 40 instances of 16, 48 and 128 positions
+    (unary and ternary constraints), each bit equal to b with chance 7/8.
+    """
+    rng = random.Random(16)
+    for arity, blocks in [(1, 8), (3, 6), (3, 16)]:
+        graph = ConstraintGraph(
+            tuple(range(1, 3 * blocks + 1)),
+            tuple(tuple(range(3 * i + 1, 3 * i + arity + 1)) for i in range(blocks)),
+        )
+        full = (1 << graph.size) - 1
+        for b in (0, 1):
+            insts = []
+            for _ in range(40):
+                ones = rng.getrandbits(graph.size)
+                ones |= rng.getrandbits(graph.size) | rng.getrandbits(graph.size)
+                insts.append(CspSatInstance(graph, ones if b else full ^ ones))
+            for r in (3, 6, 12):
+                yield insts, r, b
+
+
+def test_draws_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for args in DRAWS_STATS:
+        argv = ["stats", "--stat", "expansion", *args, "--report", "r.json"]
+        assert main(argv) == 0, args
+        digest.update(Path("r.json").read_bytes())
+    for args in DRAWS_GEN:
+        argv = ["gen", *args, "--out", "f.cnf", "--report", "g.json"]
+        assert main(argv) == 0, args
+        digest.update(Path("f.cnf").read_bytes() + Path("g.json").read_bytes())
+    for seed, (insts, r, b) in enumerate(agreement_batch()):
+        count = agreement_count(insts, r, b, mode="sampled", trials=30, seed=seed)
+        digest.update(b"A%d;" % count.value)
+    assert digest.hexdigest() == DRAWS_DIGEST
 
 
 class TestSeeding:
