@@ -19,7 +19,7 @@ from typing import Iterable
 from .bitops import full_mask
 from .cnf import Assignment, Clause, CnfFormula, Literal, VariablePartition
 from .errors import CapExceededError, ScopeError
-from .randomcnf import profile_distinctness
+from .randomcnf import _sample_indices, profile_distinctness
 from .semantics import check_scope
 
 EVAL_CAP = 20
@@ -274,8 +274,8 @@ def agreement_count(
     if mode == "sampled":
         if not trials or trials < 1:
             raise ValueError("sampled mode needs a positive trial count")
-        rng = random.Random(seed)
-        combos = (rng.sample(range(n), r) for _ in range(trials))
+        getrandbits = random.Random(seed).getrandbits
+        combos = (_sample_indices(getrandbits, n, r) for _ in range(trials))
         return AgreementCount(r, b, best(combos), "sampled", trials)
     raise ValueError(f"unknown mode {mode!r}")
 

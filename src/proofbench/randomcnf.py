@@ -5,7 +5,9 @@ satisfaction fractions.
 
 All randomness flows from one master seed through ``derive_seed``: the
 sub-seed for a purpose is a stable hash of (master seed, purpose tag, index),
-so every report is a pure function of its inputs.
+so every report is a pure function of its inputs. Every draw reads only
+``Random(seed).getrandbits``; bounded and subset draws go through ``_below``
+and ``_sample_indices``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from operator import or_
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .bitops import bit_plane, full_mask, spread
 from .cnf import (
@@ -62,6 +64,53 @@ class DistributionParams:
             raise ValueError(f"width d={self.d} must satisfy 1 <= d <= n={self.n}")
 
 
+# Python documents a stable sequence for a seed only for ``random()``, so the
+# two draws below are written on ``getrandbits``. They follow CPython 3.11's
+# ``_randbelow_with_getrandbits`` and ``Random.sample(range(n), k)`` step for
+# step, which keeps every report's bytes; the stdlib calls are their oracles
+# in the tests.
+
+
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from range(n), n >= 1: n.bit_length() bits at a time,
+    drawn again until they fall below n.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _sample_indices(getrandbits: Callable[[int], int], n: int, k: int) -> list[int]:
+    """k distinct draws from range(n), 0 <= k <= n, in the order drawn.
+
+    A population no larger than a k-set's table is drawn from by swapping
+    each pick out of a pool; a larger one is drawn from directly, each
+    repeat drawn again.
+    """
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        result = []
+        for i in range(k):
+            j = _below(getrandbits, n - i)
+            result.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return result
+    selected: set[int] = set()
+    result = []
+    for _ in range(k):
+        j = _below(getrandbits, n)
+        while j in selected:
+            j = _below(getrandbits, n)
+        selected.add(j)
+        result.append(j)
+    return result
+
+
 def _literal_table(n: int, shift: int = 0) -> list[Literal]:
     """Literal(v + shift, negated) at index 2 (v - 1) + negated, for v = 1..n."""
     return [
@@ -72,16 +121,17 @@ def _literal_table(n: int, shift: int = 0) -> list[Literal]:
 
 
 def _sample_literals(
-    rng: random.Random, pool: list[int], d: int, table: list[Literal]
+    getrandbits: Callable[[int], int], pool: list[int], d: int, table: list[Literal]
 ) -> tuple[Literal, ...]:
     # Partial Fisher-Yates prefix gives d distinct pool entries (0-based
     # variables); signs are drawn in sampled order, then the literals are
     # stored sorted by variable, which is the order of their table indices.
     # Undoing the swaps in reverse order hands the next draw the same pool.
-    swaps = [(t, rng.randrange(t, len(pool))) for t in range(d)]
+    n = len(pool)
+    swaps = [(t, t + _below(getrandbits, n - t)) for t in range(d)]
     for t, j in swaps:
         pool[t], pool[j] = pool[j], pool[t]
-    picks = sorted([2 * v + rng.getrandbits(1) for v in pool[:d]])
+    picks = sorted([2 * v + getrandbits(1) for v in pool[:d]])
     for t, j in reversed(swaps):
         pool[t], pool[j] = pool[j], pool[t]
     return tuple(map(table.__getitem__, picks))
@@ -91,11 +141,12 @@ def sample_f(params: DistributionParams) -> CnfFormula:
     """m clauses of d distinct variables each, uniform signs, sampled with
     replacement. Deterministic in the seed.
     """
-    rng = random.Random(params.seed)
+    getrandbits = random.Random(params.seed).getrandbits
     pool = list(range(params.n))
     table = _literal_table(params.n)
     clauses = tuple(
-        Clause(_sample_literals(rng, pool, params.d, table)) for _ in range(params.m)
+        Clause(_sample_literals(getrandbits, pool, params.d, table))
+        for _ in range(params.m)
     )
     return CnfFormula(params.n, clauses)
 
@@ -104,15 +155,15 @@ def sample_tensor(params: DistributionParams) -> tuple[CnfFormula, VariableParti
     """Two independent draws, one on X = 1..n and one on Y = n+1..2n, joined
     clause by clause into width-2d clauses.
     """
-    rng_x = random.Random(derive_seed(params.seed, "tensor-x"))
-    rng_y = random.Random(derive_seed(params.seed, "tensor-y"))
+    bits_x = random.Random(derive_seed(params.seed, "tensor-x")).getrandbits
+    bits_y = random.Random(derive_seed(params.seed, "tensor-y")).getrandbits
     n, d = params.n, params.d
     pool = list(range(n))
     x_table, y_table = _literal_table(n), _literal_table(n, shift=n)
     clauses = tuple(
         Clause(
-            _sample_literals(rng_x, pool, d, x_table)
-            + _sample_literals(rng_y, pool, d, y_table)
+            _sample_literals(bits_x, pool, d, x_table)
+            + _sample_literals(bits_y, pool, d, y_table)
         )
         for _ in range(params.m)
     )
@@ -263,10 +314,9 @@ def expansion_report(
         else:
             # A draw's coverage is the popcount of its clauses' variable masks.
             pick = var_masks.__getitem__
-            rng = random.Random(derive_seed(seed, "expansion", s))
-            indices = range(m)
+            getrandbits = random.Random(derive_seed(seed, "expansion", s)).getrandbits
             min_vars = min(
-                reduce(or_, map(pick, rng.sample(indices, s))).bit_count()
+                reduce(or_, map(pick, _sample_indices(getrandbits, m, s))).bit_count()
                 for _ in range(trials)
             )
             mode, used = "sampled", trials

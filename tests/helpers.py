@@ -449,9 +449,10 @@ def heavy_side_counts_oracle(formula: CnfFormula, part, epsilon):
     return z_x, z_y, max(incidence.values(), default=0)
 
 
-# --- sampler oracle -------------------------------------------------------------
-# The clause sampler before it shared one variable pool per call: a fresh pool
-# per clause.
+# --- sampler oracles ------------------------------------------------------------
+# The clause sampler before it shared one variable pool per call (a fresh pool
+# per clause), and sampled agreement counts, all drawn by the stdlib's
+# ``randrange`` and ``sample`` that randomcnf's draws on ``getrandbits`` copy.
 
 
 def sample_clause_oracle(rng: random.Random, n: int, d: int, shift: int = 0):
@@ -487,6 +488,19 @@ def sample_tensor_oracle(params) -> CnfFormula:
         right = sample_clause_oracle(rng_y, n, d, shift=n)
         clauses.append(Clause(left.literals + right.literals))
     return CnfFormula(2 * n, tuple(clauses))
+
+
+def sampled_agreement_oracle(insts, r: int, b: int, trials: int, seed: int) -> int:
+    """agreement_count's sampled value: the same position subsets, drawn by
+    the stdlib's ``Random.sample``, each checked instance by instance.
+    """
+    n = insts[0].graph.size
+    rng = random.Random(seed)
+    best = 0
+    for _ in range(trials):
+        combo = rng.sample(range(n), r)
+        best = max(best, sum(all(x.bit(p) == b for p in combo) for x in insts))
+    return best
 
 
 # --- extraction oracle ----------------------------------------------------------

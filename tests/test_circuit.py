@@ -189,6 +189,9 @@ class TestBuilderAndEval:
             MonotoneCircuit((AndGate(0, 1),), 0)
         with pytest.raises(ValueError):
             MonotoneCircuit((ConstGate(0),), 3)
+        with pytest.raises(ValueError) as info:
+            MonotoneCircuit((ConstGate(2),), 0)
+        assert str(info.value) == "gate 0 has a non-boolean constant"
 
 
 class TestCompileComplete2Cnf:

@@ -29,7 +29,7 @@ from proofbench.cpproof import (
     resolution_problems,
     serialize_cp_lines,
 )
-from proofbench.errors import ProofTextError, SatisfiableError
+from proofbench.errors import ProofTextError, SatisfiableError, ScopeError
 from proofbench.linear import LinearInequality
 from proofbench.protocol import run_protocol
 from proofbench.randomcnf import DistributionParams, derive_seed, sample_f, sample_tensor
@@ -329,6 +329,41 @@ class TestSemanticStep:
         b = SemanticLine.constant(VariablePartition((1, 2), ()), 0)
         with pytest.raises(ValueError):
             check_semantic_step(a, a, b)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: LinearInequality((1,), 0).lhs_value({}),
+            ScopeError,
+            "variable 1 has a nonzero coefficient but no value",
+        ),
+        (
+            lambda: LinearInequality((1,), 0).plus(LinearInequality((1, 1), 0)),
+            ValueError,
+            "cannot add inequalities of different arity",
+        ),
+        (
+            lambda: LinearInequality((2,), 1).divided_by(0),
+            ValueError,
+            "divisor must be a positive integer",
+        ),
+        (
+            lambda: SemanticLine.from_inequality(
+                LinearInequality((1,), 1), VariablePartition((1,), (2,))
+            ),
+            ValueError,
+            "inequality arity does not match the partition",
+        ),
+    ],
+    ids=["lhs-value-missing", "plus-arity", "divisor-zero", "from-inequality-arity"],
+)
+def test_line_arguments_rejected_with_message(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert info.type is error
+    assert str(info.value) == message
 
 
 def refutation_digest(formulas) -> str:

@@ -13,6 +13,7 @@ from helpers import (
     random_formula,
     rejecting_images_distinct_oracle,
     rejecting_instance_oracle,
+    sampled_agreement_oracle,
     separator_bound_oracle,
 )
 from proofbench.cnf import (
@@ -517,6 +518,25 @@ class TestAgreementCount:
         sampled = agreement_count(u, 2, 1, mode="sampled", trials=50, seed=4)
         assert sampled.mode == "sampled" and sampled.trials == 50
         assert sampled.value <= exact.value
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 50), st.integers(0, 12), st.data())
+    def test_sampled_matches_stdlib_draws(self, blocks, r, data):
+        # N = 2 * blocks positions: sample swaps picks out of a pool at
+        # N <= 21 (N <= 85 when r > 5) and redraws repeats above
+        g = ConstraintGraph(
+            tuple(range(1, blocks + 1)), tuple((v,) for v in range(1, blocks + 1))
+        )
+        r = min(r, g.size)
+        insts = [
+            CspSatInstance(g, data.draw(st.integers(0, (1 << g.size) - 1)))
+            for _ in range(data.draw(st.integers(1, 6)))
+        ]
+        b = data.draw(st.integers(0, 1))
+        trials = data.draw(st.integers(1, 20))
+        seed = data.draw(st.integers(0, 2**32))
+        got = agreement_count(insts, r, b, mode="sampled", trials=trials, seed=seed)
+        assert got.value == sampled_agreement_oracle(insts, r, b, trials, seed)
 
     def test_exact_r_cap(self):
         u, _ = self._reference_sets()

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import proofbench
 from helpers import (
     count_satisfying,
     heavy_sat_oracle,
@@ -26,6 +28,8 @@ from proofbench.cspsat import ConstraintGraph, CspSatInstance, agreement_count
 from proofbench.errors import CapExceededError, ScopeError
 from proofbench.randomcnf import (
     DistributionParams,
+    _below,
+    _sample_indices,
     binary_entropy,
     derive_seed,
     expansion_report,
@@ -110,6 +114,66 @@ def test_draws_pinned(tmp_path, monkeypatch):
         count = agreement_count(insts, r, b, mode="sampled", trials=30, seed=seed)
         digest.update(b"A%d;" % count.value)
     assert digest.hexdigest() == DRAWS_DIGEST
+
+
+# Every Random draw but getrandbits. Python promises a seed's sequence only
+# for random(), and src reads nothing but the generator's raw bits, so no
+# report depends on how a release builds other draws from them.
+STDLIB_DRAWS = {
+    "randrange", "randint", "sample", "choice", "choices", "shuffle", "random",
+    "uniform",
+}
+
+
+def test_only_getrandbits_leaves_random():
+    calls = []
+    for path in sorted(Path(proofbench.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in STDLIB_DRAWS
+            ):
+                calls.append(f"{path.name}:{node.lineno}: {node.func.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "random":
+                calls.append(f"{path.name}:{node.lineno}: from random import")
+    assert calls == []
+
+
+# sample's table size is 21 for k <= 5, 85 for k = 6..21 and 277 for
+# k = 22..40: it swaps picks out of a pool at n <= that size and redraws
+# repeats above it.
+SETSIZE_EDGES = [(21, 0, 5), (85, 6, 21), (277, 22, 40)]
+
+
+@st.composite
+def draw_sizes(draw):
+    """(n, k) with 1 <= n <= 3000 and 0 <= k <= min(n, 40); half of them at
+    a branch edge of sample.
+    """
+    if draw(st.booleans()):
+        edge, k_lo, k_hi = draw(st.sampled_from(SETSIZE_EDGES))
+        n = edge + draw(st.integers(-1, 1))
+        return n, draw(st.integers(k_lo, k_hi))
+    n = draw(st.integers(1, 3000))
+    return n, draw(st.integers(0, min(n, 40)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(draw_sizes(), st.integers(0, 2**64))
+@example((1, 1), 0)
+@example((21, 5), 1)
+@example((22, 5), 2)
+@example((85, 6), 3)
+@example((86, 21), 4)
+@example((3000, 40), 5)
+def test_draws_match_stdlib(sizes, seed):
+    # the same values, and the generators left in the same state
+    n, k = sizes
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert _below(ours.getrandbits, n) == theirs.randrange(n)
+    assert _sample_indices(ours.getrandbits, n, k) == theirs.sample(range(n), k)
+    assert ours.random() == theirs.random()
 
 
 class TestSeeding:
